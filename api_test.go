@@ -2,101 +2,77 @@ package fsr_test
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"iter"
 	"testing"
 	"time"
 
 	"fsr"
 )
 
-// TestSubscribeMatchesMessagesOrder: a handler-consuming node observes the
-// exact total order a channel-consuming node does.
-func TestSubscribeMatchesMessagesOrder(t *testing.T) {
-	c := newCluster(t, 3, 1)
-	ctx := context.Background()
-
-	var mu sync.Mutex
-	var viaHandler []fsr.Message
-	got := make(chan struct{}, 1)
-	const total = 30
-	c.Node(0).Subscribe(func(m fsr.Message) {
-		mu.Lock()
-		viaHandler = append(viaHandler, m)
-		if len(viaHandler) == total {
-			got <- struct{}{}
+// TestSubscribeMultipleSubscribers: every in-process subscription sees
+// every message, independently of the others.
+func TestSubscribeMultipleSubscribers(t *testing.T) {
+	c := newCluster(t, 2, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	a := c.Node(1).Session().Subscribe(ctx, 1)
+	b := c.Node(1).Session().Subscribe(ctx, 1)
+	if _, err := c.Node(0).Broadcast(ctx, []byte("fanout")); err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range []iter.Seq2[fsr.Offset, fsr.Message]{a, b} {
+		if got := take(t, c.Node(1), stream, 1); string(got[0].Payload) != "fanout" {
+			t.Fatalf("subscriber got %q", got[0].Payload)
 		}
-		mu.Unlock()
-	})
+	}
+}
 
-	for i := range total {
-		if _, err := c.Node(i%3).Broadcast(ctx, []byte(fmt.Sprintf("s%d", i))); err != nil {
+// TestSubscriberSeesEndOfBurst: a subscriber idling at the frontier — in
+// process or remote, paging or attached to the tail — gets the last
+// message of a burst at once, not at the next commit or the one-second
+// keepalive. (The waiters used to sample the frontier before taking the
+// wake-up channel; a batch committed in between was slept through.)
+func TestSubscriberSeesEndOfBurst(t *testing.T) {
+	c := newCluster(t, 3, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	remote, err := c.Dial(fsr.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	seen := map[string]chan fsr.Offset{}
+	for name, stream := range map[string]iter.Seq2[fsr.Offset, fsr.Message]{
+		"in-process": c.Node(1).Session().Subscribe(ctx, 1),
+		"remote":     remote.Subscribe(ctx, 1),
+	} {
+		ch := make(chan fsr.Offset, 4096) // holds the whole run: the reader never blocks
+		seen[name] = ch
+		go func() {
+			for off := range stream {
+				ch <- off
+			}
+		}()
+	}
+	for i := range 200 {
+		var last *fsr.Receipt
+		for range 4 {
+			if last, err = c.Node(i%3).Broadcast(ctx, []byte("burst")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := last.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	viaChannel := collect(t, c.Node(2), total)
-	select {
-	case <-got:
-	case <-time.After(20 * time.Second):
-		mu.Lock()
-		n := len(viaHandler)
-		mu.Unlock()
-		t.Fatalf("handler saw %d/%d messages", n, total)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	assertSameOrder(t, viaHandler, viaChannel)
-}
-
-// TestSubscribeCancelRevertsToChannel: canceling the last handler routes
-// subsequent deliveries back to the Messages channel, with nothing lost.
-func TestSubscribeCancelRevertsToChannel(t *testing.T) {
-	c := newCluster(t, 3, 1)
-	ctx := context.Background()
-
-	first := make(chan fsr.Message, 8)
-	cancel := c.Node(1).Subscribe(func(m fsr.Message) { first <- m })
-	if _, err := c.Node(0).Broadcast(ctx, []byte("to-handler")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-first:
-		if string(m.Payload) != "to-handler" {
-			t.Fatalf("handler got %q", m.Payload)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("handler never invoked")
-	}
-	cancel()
-
-	if _, err := c.Node(0).Broadcast(ctx, []byte("to-channel")); err != nil {
-		t.Fatal(err)
-	}
-	msgs := collect(t, c.Node(1), 1)
-	if string(msgs[0].Payload) != "to-channel" {
-		t.Fatalf("channel got %q after cancel", msgs[0].Payload)
-	}
-}
-
-// TestSubscribeMultipleHandlers: every registered handler sees every
-// message.
-func TestSubscribeMultipleHandlers(t *testing.T) {
-	c := newCluster(t, 2, 1)
-	a := make(chan string, 4)
-	b := make(chan string, 4)
-	c.Node(1).Subscribe(func(m fsr.Message) { a <- string(m.Payload) })
-	c.Node(1).Subscribe(func(m fsr.Message) { b <- string(m.Payload) })
-	if _, err := c.Node(0).Broadcast(context.Background(), []byte("fanout")); err != nil {
-		t.Fatal(err)
-	}
-	for name, ch := range map[string]chan string{"a": a, "b": b} {
-		select {
-		case got := <-ch:
-			if got != "fanout" {
-				t.Fatalf("handler %s got %q", name, got)
+		for name, ch := range seen {
+			deadline := time.After(500 * time.Millisecond)
+			for off := fsr.Offset(0); off < last.Seq(); {
+				select {
+				case off = <-ch:
+				case <-deadline:
+					t.Fatalf("burst %d: %s subscriber still at offset %d, want %d", i, name, off, last.Seq())
+				}
 			}
-		case <-time.After(20 * time.Second):
-			t.Fatalf("handler %s never invoked", name)
 		}
 	}
 }

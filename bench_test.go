@@ -9,7 +9,7 @@
 //	BenchmarkFigure9Senders              Mb/s per k
 //	BenchmarkRoundModelClasses           broadcasts/round per protocol class
 //
-// cmd/fsr-bench prints the full series for EXPERIMENTS.md.
+// cmd/fsr-bench prints the full series.
 //
 // External test package: internal/bench itself imports fsr (the loopback
 // TCP experiments run the real cluster), so these benchmarks must sit

@@ -1,6 +1,6 @@
 // Command fsr-bench regenerates the tables and figures of the paper's
 // evaluation section on the simulated cluster and the round model, printing
-// each as a text series (see EXPERIMENTS.md for the recorded results).
+// each as a text series (the README's Performance section records results).
 //
 // Usage:
 //

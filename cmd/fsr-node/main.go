@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -164,16 +165,25 @@ func run(self fsr.ProcID, peersFlag string, tol int, send time.Duration, durable
 			fmt.Printf("view %d installed: members=%v t=%d\n", v.ID, v.Members, v.T)
 		}
 	}()
+	// Print the order from the tail on. An ephemeral member retains a
+	// bounded tail, so a reader that stalls long enough (or a joiner whose
+	// admission moves its horizon) falls below it and the stream ends; say
+	// so and pick up at the tail again.
+	sess := node.Session()
 	for {
-		select {
-		case <-ctx.Done():
-			fmt.Println("shutting down")
-			return nil
-		case m, ok := <-node.Messages():
-			if !ok {
-				return node.Err()
-			}
+		for _, m := range sess.Subscribe(ctx, 0) {
 			fmt.Printf("[%d] origin=%d %s\n", m.Seq, m.Origin, m.Payload)
 		}
+		if ctx.Err() != nil {
+			fmt.Println("shutting down")
+			return nil
+		}
+		if err := node.Err(); err != nil {
+			return err
+		}
+		if errors.Is(node.Ready(), fsr.ErrStopped) {
+			return nil // evicted, or left gracefully
+		}
+		fmt.Println("delivery log fell below this member's horizon; resuming at the tail")
 	}
 }

@@ -68,7 +68,7 @@ type Config struct {
 	// DurableDir, when set, makes the delivered total order survive a
 	// process restart: the node keeps a write-ahead log (and, with a
 	// StateMachine, periodic snapshots) in this directory, persists every
-	// delivery before dispatching it, and on startup rebuilds its position
+	// delivery before any consumer sees it, and on startup rebuilds its position
 	// from snapshot + WAL. A restarted node (start it as a Joiner on the
 	// same directory; see Cluster.Restart) then fetches the suffix of the
 	// order it missed from its peers before resuming. One directory

@@ -7,9 +7,10 @@
 // member is on the critical ordering path — so subscriber capacity must
 // scale somewhere else. An edge replica is that somewhere: it tails the
 // order from a member exactly like a catching-up subscriber (snapshot
-// hand-over included), stores the tail in memory or a local WAL, and
-// serves SUBSCRIBE from that replica with the identical encode-once
-// fan-out members use (internal/serve). Each member thus carries one
+// hand-over included), keeps it in the same serve.Log a member does — a
+// bounded tail in memory, or a local WAL read in place — and serves
+// SUBSCRIBE from that replica with the identical encode-once fan-out
+// members use (internal/serve). Each member thus carries one
 // subscription per edge instead of one per end subscriber; edges are
 // horizontally scalable and disposable, because every byte they hold is
 // refetchable from the ring.
@@ -37,6 +38,7 @@ import (
 	"fsr"
 	"fsr/client"
 	"fsr/internal/serve"
+	"fsr/internal/wal"
 	"fsr/internal/wire"
 	"fsr/transport"
 	"fsr/transport/tcp"
@@ -62,9 +64,10 @@ type CoreConfig struct {
 	// (client.Dial). Either may be empty if no such client publishes.
 	Members     []fsr.ProcID
 	MemberAddrs []string
-	// DurableDir, when set, persists the replicated tail in a WAL so a
-	// restarted edge serves history without refetching it. Otherwise the
-	// tail lives in memory, bounded by TailCap.
+	// DurableDir, when set, persists the replicated order in a WAL — which
+	// is also what subscribers are served from — so a restarted edge
+	// serves history without refetching it. Otherwise the tail lives in
+	// memory, bounded by TailCap.
 	DurableDir string
 	// TailCap bounds the in-memory tail, in entries (default 65536).
 	// Subscribers below the horizon are redirected to the members.
@@ -104,7 +107,11 @@ type Edge struct {
 
 // NewCore starts an edge replica on caller-provided plumbing. Use New for
 // the common TCP deployment.
-func NewCore(cfg CoreConfig) (*Edge, error) {
+func NewCore(cfg CoreConfig) (*Edge, error) { return newCore(cfg, nil) }
+
+// newCore is NewCore on a chosen WAL filesystem (nil selects the real
+// one) — the seam the storage-fault tests inject through.
+func newCore(cfg CoreConfig, fs wal.FS) (*Edge, error) {
 	if cfg.Transport == nil || cfg.Upstream == nil {
 		return nil, fmt.Errorf("edge: Transport and Upstream are required")
 	}
@@ -116,17 +123,17 @@ func NewCore(cfg CoreConfig) (*Edge, error) {
 		log = slog.New(slog.DiscardHandler)
 	}
 	log = log.With("edge", uint32(cfg.Transport.Self()))
-	st, err := newStore(cfg.DurableDir, cfg.TailCap, log)
+	st, err := openStore(cfg.DurableDir, cfg.TailCap, fs, log)
 	if err != nil {
 		return nil, err
 	}
 	e := &Edge{cfg: cfg, log: log, store: st}
 	e.srv = serve.New(serve.Config{
 		Transport: cfg.Transport,
-		Source:    st,
+		Source:    st.log,
 		Publish:   nil, // read-only: publishes answer NOT-WRITABLE
 		Redirect: func() ([]fsr.ProcID, []string, uint64) {
-			return cfg.Members, cfg.MemberAddrs, st.Applied()
+			return cfg.Members, cfg.MemberAddrs, st.log.Applied()
 		},
 		QueueCap: cfg.QueueCap,
 		Logger:   log,
@@ -142,7 +149,7 @@ func NewCore(cfg CoreConfig) (*Edge, error) {
 	e.cancel = cancel
 	e.wg.Add(1)
 	go e.tailLoop(ctx)
-	if st.log != nil {
+	if st.wal != nil {
 		e.wg.Add(1)
 		go e.syncLoop(ctx)
 	}
@@ -222,13 +229,13 @@ func (e *Edge) Addr() string { return e.addr }
 func (e *Edge) ID() fsr.ProcID { return fsr.ProcID(e.cfg.Transport.Self()) }
 
 // Applied returns the highest offset replicated from upstream.
-func (e *Edge) Applied() uint64 { return e.store.Applied() }
+func (e *Edge) Applied() uint64 { return e.store.log.Applied() }
 
 // Stats snapshots the edge's serving activity.
 func (e *Edge) Stats() Stats {
 	s := e.srv.Stats()
 	return Stats{
-		Applied:      e.store.Applied(),
+		Applied:      e.store.log.Applied(),
 		Clients:      s.Clients,
 		Subs:         s.Subs,
 		TailAttached: s.TailAttached,
@@ -243,7 +250,8 @@ func (e *Edge) Stats() Stats {
 type Metrics struct {
 	// Applied is the highest offset replicated from upstream; StoreBase is
 	// the horizon (offsets at or below it are not held as entries);
-	// StoreEntries counts the retained entry tail; SnapshotSeq is the
+	// StoreEntries counts the entries held in memory — always 0 on a
+	// durable edge, which serves them from its WAL; SnapshotSeq is the
 	// offset the held application snapshot covers (0 when none).
 	Applied      uint64
 	StoreBase    uint64
@@ -278,9 +286,9 @@ func (e *Edge) upstreamContact() (time.Time, bool) {
 // Metrics snapshots the edge for export.
 func (e *Edge) Metrics() Metrics {
 	s := e.srv.Stats()
-	base, entries, snapSeq := e.store.held()
+	base, entries, snapSeq := e.store.log.Held()
 	m := Metrics{
-		Applied:      e.store.Applied(),
+		Applied:      e.store.log.Applied(),
 		StoreBase:    base,
 		StoreEntries: entries,
 		SnapshotSeq:  snapSeq,
@@ -344,34 +352,53 @@ func (e *Edge) Ready(maxLag time.Duration) error {
 // ends (upstream failover churn, member loss), the next resumes where the
 // store stopped. Every appended offset is published to the local shared
 // tail — the same encode-once fan-out path a member runs.
+//
+// A store write failure is fail-stop, as on a member: subscribers are
+// served from the store, so an edge that cannot write it says goodbye
+// (clients fail over) and stops serving; Ready reports the poisoned store.
 func (e *Edge) tailLoop(ctx context.Context) {
 	defer e.wg.Done()
 	for ctx.Err() == nil {
-		from := e.store.Applied() + 1
+		from := e.store.log.Applied() + 1
 		for _, m := range e.cfg.Upstream.Subscribe(ctx, from) {
-			if m.Snapshot {
-				// State transfer: the prefix has no entry stream, so
-				// locally attached subscribers must page across the jump.
-				e.store.setSnapshot(m.Seq, m.Payload)
-				e.srv.DetachAll()
-				continue
-			}
-			if e.store.append(m) {
-				e.scratch[0] = wire.ClientEventEntry{
-					Seq:     m.Seq,
-					Origin:  m.Origin,
-					Logical: m.LogicalID,
-					Payload: m.Payload,
-				}
-				e.srv.PublishTail(e.scratch[:])
+			if err := e.replicate(m); err != nil {
+				e.log.Error("edge store failed; serving stopped", "applied", e.store.log.Applied(), "err", err)
+				e.srv.NotifyAll(wire.RedirectBye)
+				e.srv.Shutdown()
+				return
 			}
 		}
 		if ctx.Err() == nil {
 			e.log.Warn("upstream tail interrupted; re-subscribing",
-				"applied", e.store.Applied(), "err", e.cfg.Upstream.Err())
+				"applied", e.store.log.Applied(), "err", e.cfg.Upstream.Err())
 			time.Sleep(50 * time.Millisecond) // upstream hiccup; re-subscribe
 		}
 	}
+}
+
+// replicate folds one upstream message into the store and, if it extended
+// the replica, publishes it to the local shared tail.
+func (e *Edge) replicate(m fsr.Message) error {
+	if m.Snapshot {
+		if err := e.store.setSnapshot(m.Seq, m.Payload); err != nil {
+			return err
+		}
+		// State transfer: the prefix has no entry stream, so locally
+		// attached subscribers must page across the jump.
+		e.srv.DetachAll()
+		return nil
+	}
+	e.scratch[0] = wire.ClientEventEntry{
+		Seq:     m.Seq,
+		Origin:  m.Origin,
+		Logical: m.LogicalID,
+		Payload: m.Payload,
+	}
+	advanced, err := e.store.append(e.scratch[0])
+	if advanced {
+		e.srv.PublishTail(e.scratch[:])
+	}
+	return err
 }
 
 // syncLoop periodically flushes the durable store.

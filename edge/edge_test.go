@@ -8,6 +8,7 @@ import (
 
 	"fsr"
 	"fsr/edge"
+	"fsr/internal/wal"
 	"fsr/transport/mem"
 )
 
@@ -15,6 +16,13 @@ import (
 // serving endpoint subscribers dial, plus an upstream session to the
 // members with the edge role.
 func startEdge(t *testing.T, net *mem.Network, cluster *fsr.Cluster, serveID fsr.ProcID, durableDir string) *edge.Edge {
+	t.Helper()
+	return startEdgeFS(t, net, cluster, serveID, durableDir, nil)
+}
+
+// startEdgeFS is startEdge with the durable store on a chosen filesystem
+// (nil selects the real one).
+func startEdgeFS(t *testing.T, net *mem.Network, cluster *fsr.Cluster, serveID fsr.ProcID, durableDir string, fs wal.FS) *edge.Edge {
 	t.Helper()
 	serveTr, err := net.Join(serveID)
 	if err != nil {
@@ -31,12 +39,12 @@ func startEdge(t *testing.T, net *mem.Network, cluster *fsr.Cluster, serveID fsr
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := edge.NewCore(edge.CoreConfig{
+	e, err := edge.NewCoreFS(edge.CoreConfig{
 		Transport:  serveTr,
 		Upstream:   up,
 		Members:    cluster.IDs(),
 		DurableDir: durableDir,
-	})
+	}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +177,9 @@ func TestEdgeServesSubscribers(t *testing.T) {
 	if st := e.Stats(); st.TailFrames == 0 {
 		t.Fatalf("edge never used the shared tail: %+v", st)
 	}
+	if m := e.Metrics(); m.StoreEntries != history+10 || m.StoreBase != 0 {
+		t.Fatalf("memory edge holds %d entries above horizon %d, want %d above 0", m.StoreEntries, m.StoreBase, history+10)
+	}
 }
 
 // TestEdgePublishRedirectsToMembers: a publisher whose session lands on a
@@ -216,8 +227,9 @@ func TestEdgePublishRedirectsToMembers(t *testing.T) {
 }
 
 // TestEdgeDurableRestart: a durable edge restarted on its store serves
-// the replicated history immediately and resumes tailing where it left
-// off, refetching only what it missed.
+// the replicated history immediately — out of its WAL, without loading it
+// into memory — and resumes tailing where it left off, refetching only
+// what it missed.
 func TestEdgeDurableRestart(t *testing.T) {
 	net := mem.NewNetwork(mem.Options{})
 	cluster, err := fsr.NewCluster(fsr.ClusterConfig{N: 3, T: 1}, fsr.MemTransport(net))
@@ -262,4 +274,8 @@ func TestEdgeDurableRestart(t *testing.T) {
 	sub := dialThrough(t, net, fsr.ClientIDBase+0x200000, []fsr.ProcID{edgeServeID + 2})
 	defer sub.Close()
 	readStream(t, sub, 1, 40)
+	if m := e2.Metrics(); m.StoreEntries != 0 || m.WAL.Appends != 10 {
+		t.Fatalf("durable edge holds %d entries in memory and appended %d after restart, want 0 and the 10 it missed",
+			m.StoreEntries, m.WAL.Appends)
+	}
 }

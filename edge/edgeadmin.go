@@ -30,7 +30,7 @@ func (e *Edge) handleAdmin(from transport.ProcID, payload []byte) {
 		s := admin.Status{
 			Role:    "edge",
 			ID:      uint32(e.cfg.Transport.Self()),
-			Applied: e.store.Applied(),
+			Applied: e.store.log.Applied(),
 		}
 		if t, ok := e.upstreamContact(); ok {
 			s.TailConnected = true

@@ -2,6 +2,7 @@ package edge_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"fsr"
+	"fsr/internal/wal"
+	"fsr/internal/wal/walfault"
 	"fsr/transport/mem"
 )
 
@@ -77,5 +80,87 @@ func TestEdgeReadyTransitions(t *testing.T) {
 			t.Fatal("edge still ready with no upstream members")
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestEdgePoisonedStore: a durable edge serves subscribers out of its WAL,
+// so once the store is poisoned there is no stale in-memory copy to keep
+// serving from. The contract is a member's — fail-stop: Ready turns red,
+// the frontier never moves over an entry that cannot be read back, and
+// subscribers are served by whoever else they can reach.
+func TestEdgePoisonedStore(t *testing.T) {
+	net := mem.NewNetwork(mem.Options{})
+	cluster, err := fsr.NewCluster(fsr.ClusterConfig{N: 3, T: 1}, fsr.MemTransport(net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	opts := walfault.NoOneShots()
+	opts.FsyncErrEvery = 1 // once armed, every fsync fails
+	disk := walfault.New(nil, opts)
+	disk.Disarm()
+	const edgeID = 700
+	e := startEdgeFS(t, net, cluster, edgeID, t.TempDir(), disk)
+	defer e.Stop()
+
+	pub, err := cluster.Dial(fsr.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	ctx := context.Background()
+	publish := func(n int) {
+		t.Helper()
+		for range n {
+			r, err := pub.Publish(ctx, []byte("p"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(20)
+	waitApplied(t, e, 20)
+	healthy := dialThrough(t, net, 710, []fsr.ProcID{edgeID})
+	readStream(t, healthy, 1, 20)
+	healthy.Close()
+
+	// The disk goes bad: the edge's next periodic sync poisons the log.
+	disk.Arm()
+	deadline := time.Now().Add(10 * time.Second)
+	for !e.Metrics().WAL.Poisoned {
+		if time.Now().After(deadline) {
+			t.Fatal("store never poisoned")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := e.Ready(0); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("Ready() on a poisoned store = %v, want wal.ErrPoisoned", err)
+	}
+
+	// More of the order arrives; the edge cannot store it and stops
+	// serving. A subscriber that lists the edge first still gets the whole
+	// stream — from the members.
+	publish(5)
+	tr, err := net.Join(720)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := fsr.DialVia(tr, append([]fsr.ProcID{edgeID}, cluster.IDs()...), fsr.SessionOptions{
+		ProbeTimeout: 300 * time.Millisecond,
+		OnClose:      func() { _ = tr.Close() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	readStream(t, sub, 1, 25)
+	if got := e.Applied(); got != 20 {
+		t.Fatalf("poisoned edge's frontier moved to %d over entries it cannot read back", got)
+	}
+	if e.Ready(0) == nil {
+		t.Fatal("poisoned edge reports ready")
 	}
 }

@@ -3,230 +3,105 @@ package edge
 import (
 	"fmt"
 	"log/slog"
-	"sort"
-	"sync"
 
-	"fsr"
 	"fsr/internal/serve"
 	"fsr/internal/wal"
 	"fsr/internal/wire"
 )
 
-// store is the edge replica's copy of the committed order: a tail of
-// entries above a horizon, optionally preceded by an application snapshot
-// covering everything at or below it. It implements serve.Source, so the
-// serving layer pages subscribers out of it exactly as a member pages its
-// WAL.
-//
-// The order's sequence numbers may skip values — members filter duplicate
-// client publishes out of the order while still consuming their slot — so
-// entries are ascending in Seq but not dense, and paging searches by Seq
-// rather than indexing. The upstream session stream is gap-free in ORDER
-// (never in numbering): every message it yields extends the replica.
-//
-// Entries are append-only and payloads are never mutated after append, so
-// ReadCommitted can hand out references; the serving layer encodes pages
-// synchronously before returning to the pager loop.
+// store is the writing side of the edge replica's copy of the committed
+// order. Everything read — by subscribers, metrics, the tail loop's resume
+// point — goes through log, the same serve.Log a ring member serves from:
+// a bounded in-memory tail, or, with a durable directory, the WAL the
+// store appends to (so a durable edge holds no entries in memory).
 type store struct {
-	log     *wal.Log // nil for a memory-only tail
-	tailCap int      // retained entries when memory-only
-
-	mu      sync.Mutex
-	base    uint64 // horizon: every entry's Seq is > base
-	entries []wire.ClientEventEntry
-	snap    []byte // application snapshot at snapSeq, nil if none
-	snapSeq uint64
-	signal  chan struct{} // closed and replaced when the frontier advances
+	log *serve.Log
+	wal *wal.Log // nil for a memory-only tail
 }
 
-// newStore builds the tail store, replaying a durable log when dir is
-// non-empty. tailCap bounds the memory-only tail (entries beyond it fall
-// below the horizon); a durable store retains everything the WAL does.
-func newStore(dir string, tailCap int, logger *slog.Logger) (*store, error) {
-	st := &store{tailCap: tailCap, signal: make(chan struct{})}
+// openStore builds the replica's log: a tail of tailCap entries in memory,
+// or the WAL in dir when dir is non-empty. fs overrides the filesystem the
+// WAL runs on (nil selects the real one).
+func openStore(dir string, tailCap int, fs wal.FS, logger *slog.Logger) (*store, error) {
 	if dir == "" {
-		return st, nil
+		return &store{log: serve.NewRingLog(tailCap)}, nil
 	}
-	log, err := wal.Open(dir, wal.Options{Logger: logger})
+	w, err := wal.Open(dir, wal.Options{FS: fs, Logger: logger})
 	if err != nil {
 		return nil, fmt.Errorf("edge: open store: %w", err)
 	}
-	st.log = log
-	if snap, ok := log.LatestSnapshot(); ok {
-		st.snap = snap.Data
-		st.snapSeq = snap.Seq
-		st.base = snap.Seq
+	return &store{log: serve.NewWALLog(w, w.LastSeq(), nil), wal: w}, nil
+}
+
+// append folds one upstream message into the replica and reports whether
+// the frontier advanced; stale duplicates (from an upstream re-subscribe)
+// are skipped. Durable entries are flushed by the periodic sync, not here:
+// an edge may lose that window on a crash and refetches it from upstream.
+// A write error is returned — the entry is not readable back, so the
+// frontier must not move over it.
+func (st *store) append(e wire.ClientEventEntry) (bool, error) {
+	if e.Seq <= st.log.Applied() {
+		return false, nil
 	}
-	err = log.Replay(st.base, func(e wal.Entry) error {
-		if n := len(st.entries); n > 0 && e.Seq <= st.entries[n-1].Seq {
-			return nil // torn rewrite overlap; keep the first copy
-		}
-		st.entries = append(st.entries, wire.ClientEventEntry{
-			Seq:     e.Seq,
-			Origin:  fsr.ProcID(e.Origin),
-			Logical: e.LogicalID,
-			Payload: e.Payload,
+	if st.wal != nil {
+		err := st.wal.Append(wal.Entry{
+			Seq:       e.Seq,
+			Origin:    uint32(e.Origin),
+			LogicalID: e.Logical,
+			Payload:   e.Payload,
 		})
-		return nil
-	})
-	if err != nil {
-		_ = log.Close()
-		return nil, fmt.Errorf("edge: replay store: %w", err)
-	}
-	return st, nil
-}
-
-// appliedLocked is the highest replicated offset. Callers hold st.mu.
-func (st *store) appliedLocked() uint64 {
-	if n := len(st.entries); n > 0 {
-		return st.entries[n-1].Seq
-	}
-	return st.base
-}
-
-// Applied implements serve.Source.
-func (st *store) Applied() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.appliedLocked()
-}
-
-// Watch implements serve.Source.
-func (st *store) Watch() <-chan struct{} {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.signal
-}
-
-// ReadCommitted implements serve.Source.
-func (st *store) ReadCommitted(cursor, applied uint64, maxEntries, maxBytes int) (serve.Page, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if cursor < st.base {
-		if st.snap != nil && st.snapSeq > cursor {
-			// The needed prefix is gone; hand over the application state.
-			return serve.Page{Snap: st.snap, SnapSeq: st.snapSeq, Cursor: st.snapSeq}, nil
+		if err != nil {
+			return false, err
 		}
-		return serve.Page{BelowHorizon: true}, nil
 	}
-	page := serve.Page{Cursor: applied}
-	bytes := 0
-	start := sort.Search(len(st.entries), func(i int) bool {
-		return st.entries[i].Seq > cursor
-	})
-	for i := start; i < len(st.entries); i++ {
-		e := &st.entries[i]
-		if len(page.Entries) >= maxEntries || bytes+len(e.Payload) > maxBytes {
-			page.Cursor = page.Entries[len(page.Entries)-1].Seq
-			return page, nil
-		}
-		page.Entries = append(page.Entries, *e)
-		bytes += len(e.Payload)
-	}
-	if n := len(page.Entries); n > 0 && page.Entries[n-1].Seq > page.Cursor {
-		// The tail ran past the sampled frontier; never let the cursor
-		// fall behind what was served.
-		page.Cursor = page.Entries[n-1].Seq
-	}
-	return page, nil
-}
-
-// append folds one upstream message into the tail; stale duplicates (from
-// an upstream re-subscribe) are skipped. It reports whether the frontier
-// advanced.
-func (st *store) append(m fsr.Message) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if m.Seq <= st.appliedLocked() {
-		return false // duplicate from a restarted upstream stream
-	}
-	st.entries = append(st.entries, wire.ClientEventEntry{
-		Seq:     m.Seq,
-		Origin:  m.Origin,
-		Logical: m.LogicalID,
-		Payload: m.Payload,
-	})
-	if st.log != nil {
-		// Loss here is acceptable — the edge refetches from upstream on
-		// restart — so append errors only forfeit durability.
-		_ = st.log.Append(wal.Entry{
-			Seq:       m.Seq,
-			Origin:    uint32(m.Origin),
-			LogicalID: m.LogicalID,
-			Payload:   m.Payload,
-		})
-	} else if st.tailCap > 0 && len(st.entries) > st.tailCap {
-		// Advance the horizon; subscribers below it are redirected to
-		// members (or served the snapshot, if one covers them).
-		drop := len(st.entries) - st.tailCap
-		st.base = st.entries[drop-1].Seq
-		st.entries = append(st.entries[:0], st.entries[drop:]...)
-	}
-	st.advanceLocked()
-	return true
+	st.log.Commit([]wire.ClientEventEntry{e}, e.Seq)
+	return true, nil
 }
 
 // setSnapshot installs an upstream state transfer at seq: the order's
 // prefix up to seq is now represented by the application snapshot, and the
 // entry tail restarts above it.
-func (st *store) setSnapshot(seq uint64, data []byte) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if seq <= st.appliedLocked() {
-		return // stale: the tail already covers this prefix
+func (st *store) setSnapshot(seq uint64, data []byte) error {
+	if seq <= st.log.Applied() {
+		return nil // stale: the replica already covers this prefix
 	}
-	st.snap = data
-	st.snapSeq = seq
-	st.base = seq
-	st.entries = st.entries[:0]
-	if st.log != nil {
-		_ = st.log.WriteSnapshot(seq, data)
+	if st.wal != nil {
+		if err := st.wal.WriteSnapshot(seq, data); err != nil {
+			return err
+		}
 	}
-	st.advanceLocked()
-}
-
-// advanceLocked wakes watchers after the frontier moved.
-func (st *store) advanceLocked() {
-	close(st.signal)
-	st.signal = make(chan struct{})
-}
-
-// held reports what the store retains: the horizon, the entry count, and
-// the seq covered by the held snapshot (0 when none).
-func (st *store) held() (base uint64, entries int, snapSeq uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.base, len(st.entries), st.snapSeq
+	st.log.SetSnapshot(seq, data)
+	return nil
 }
 
 // walStats snapshots the durable log's counters; ok is false for a
 // memory-only store.
 func (st *store) walStats() (wal.Stats, bool) {
-	if st.log == nil {
+	if st.wal == nil {
 		return wal.Stats{}, false
 	}
-	return st.log.Stats(), true
+	return st.wal.Stats(), true
 }
 
 // writable probes the durable directory; nil for a memory-only store.
 func (st *store) writable() error {
-	if st.log == nil {
+	if st.wal == nil {
 		return nil
 	}
-	return st.log.Writable()
+	return st.wal.Writable()
 }
 
-// sync flushes the durable log, if any.
+// sync flushes the durable log, if any. A failure poisons the WAL; the
+// next append reports it.
 func (st *store) sync() {
-	if st.log != nil {
-		_ = st.log.Sync()
+	if st.wal != nil {
+		_ = st.wal.Sync()
 	}
 }
 
-// close releases the durable log, if any.
+// close flushes and releases the durable log, if any.
 func (st *store) close() {
-	if st.log != nil {
-		_ = st.log.Sync()
-		_ = st.log.Close()
+	if st.wal != nil {
+		_ = st.wal.Close() // Close syncs first
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // TestNodeFailStopIsTerminal: a fatal protocol error (corrupt frame from
 // the ring predecessor) must actually halt the node — fail-stop — not just
-// record the error: Messages closes, pending receipts fail, Err surfaces
-// the cause, and further Broadcasts are rejected.
+// record the error: subscription streams end, pending receipts fail, Err
+// surfaces the cause, and further Broadcasts are rejected.
 func TestNodeFailStopIsTerminal(t *testing.T) {
 	network := mem.NewNetwork(mem.Options{})
 	ep0, err := network.Join(0)
@@ -43,6 +43,15 @@ func TestNodeFailStopIsTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A subscriber idling on the (empty) order.
+	ended := make(chan int, 1)
+	go func() {
+		got := 0
+		for range n.Session().Subscribe(context.Background(), 1) {
+			got++
+		}
+		ended <- got
+	}()
 
 	// Corrupt ring traffic: KindFSR prefix, valid version, truncated body.
 	// (A wrong-VERSION frame is deliberately non-fatal — see
@@ -52,14 +61,14 @@ func TestNodeFailStopIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The node halts: the message stream closes...
+	// The node halts: the subscription stream ends...
 	select {
-	case _, ok := <-n.Messages():
-		if ok {
-			t.Fatal("unexpected delivery")
+	case got := <-ended:
+		if got != 0 {
+			t.Fatalf("%d unexpected deliveries", got)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Messages never closed after fatal error")
+		t.Fatal("subscription never ended after fatal error")
 	}
 	// ...the error is surfaced...
 	if n.Err() == nil {
@@ -139,17 +148,12 @@ func TestNodeSkipsForeignPayloads(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The node shrugged: no fail-stop, stream open, still taking work.
+	// The node shrugged: no fail-stop, nothing delivered, still taking work.
 	if err := n.Err(); err != nil {
 		t.Fatalf("node halted on foreign payloads: %v", err)
 	}
-	select {
-	case _, ok := <-n.Messages():
-		if !ok {
-			t.Fatal("Messages closed after foreign payloads")
-		}
-		t.Fatal("unexpected delivery")
-	default:
+	if got := n.Applied(); got != 0 {
+		t.Fatalf("foreign payloads advanced the order to %d", got)
 	}
 	if _, err := n.Broadcast(context.Background(), []byte("still alive")); err != nil {
 		t.Fatalf("Broadcast refused after foreign payloads: %v", err)

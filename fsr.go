@@ -17,17 +17,19 @@
 //	defer cluster.Stop()
 //
 //	r, _ := cluster.Node(0).Broadcast(ctx, []byte("hello"))
-//	<-r.Delivered()                    // uniform: survives any T crashes
-//	msg := <-cluster.Node(3).Messages() // same order at every node
+//	<-r.Delivered() // uniform: survives any T crashes
+//	for off, msg := range cluster.Node(3).Session().Subscribe(ctx, 1) {
+//		... // same order at every node
+//	}
 //
 // # Consuming deliveries
 //
-// Every node exposes the agreed message stream twice: Node.Messages is a
-// channel, Node.Subscribe registers a handler invoked in total order. A
-// Broadcast returns a *Receipt whose Delivered channel closes only once the
-// message is uniformly stable — the hook for request/reply and synchronous
-// writes. Node.Metrics reports protocol counters, queue depths and a
-// broadcast-latency summary.
+// There is one way to consume the agreed order, on a member or remotely:
+// Session.Subscribe, an iterator over the committed log from any offset
+// (0 is the live tail). A Broadcast returns a *Receipt whose Delivered
+// channel closes only once the message is uniformly stable — the hook for
+// request/reply and synchronous writes. Node.Metrics reports protocol
+// counters, queue depths and a broadcast-latency summary.
 //
 // # Sessions: using the order without joining the ring
 //
@@ -53,8 +55,8 @@
 //		WithDurableDir(dir).
 //		WithStateMachines(func(id fsr.ProcID) fsr.StateMachine { return newStore() })
 //
-// Every delivery is written to a write-ahead log (internal/wal) before it
-// is dispatched, snapshots bound replay and truncate the log, and a member
+// Every delivery is written to a write-ahead log (internal/wal) before any
+// subscriber can see it, snapshots bound replay and truncate the log, and a member
 // killed mid-traffic is brought back with Cluster.Restart: it rebuilds
 // from snapshot + WAL, fetches the missed suffix of the order from its
 // peers, and rejoins the live stream.

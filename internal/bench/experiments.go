@@ -2,8 +2,8 @@
 // evaluation (Section 5) plus the Section 2 protocol-class comparison, on
 // the simulated cluster (internal/netsim) and the round model
 // (internal/model). Each experiment returns a metrics.Series whose rows
-// correspond to the points the paper plots; EXPERIMENTS.md records the
-// side-by-side numbers.
+// correspond to the points the paper plots; the README's Performance
+// section records the side-by-side numbers.
 package bench
 
 import (
@@ -223,7 +223,6 @@ func saturatedThroughput(n, k int, horizon time.Duration) (float64, error) {
 // ring and starve the other origins' pass-A progress — a regime the
 // paper's round model (one send per process per round) cannot enter, and
 // for which the paper's own remedy is leader rotation (§4.3.1).
-// EXPERIMENTS.md discusses the effect.
 func SaturationSenders(n, k int) []int {
 	out := make([]int, k)
 	for i := range out {

@@ -84,19 +84,22 @@ func tcpSaturatedThroughput(k int, horizon time.Duration) (float64, error) {
 	}
 	defer cluster.Stop()
 
-	var bytes atomic.Int64
-	var counting atomic.Bool
-	cancel := cluster.Node(tcpBenchN - 1).Subscribe(func(m fsr.Message) {
-		if counting.Load() {
-			bytes.Add(int64(len(m.Payload)))
-		}
-	})
-	defer cancel()
-
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	payload := make([]byte, tcpBenchPayload)
+	var bytes atomic.Int64
+	var counting atomic.Bool
 	var wg sync.WaitGroup
+	tail := cluster.Node(tcpBenchN-1).Session().Subscribe(ctx, 0)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, m := range tail {
+			if counting.Load() {
+				bytes.Add(int64(len(m.Payload)))
+			}
+		}
+	}()
+	payload := make([]byte, tcpBenchPayload)
 	for i := range k {
 		// Skip the leader, as in the simulated saturation runs: its sends
 		// skip pass A and can overdrive the ring (§4.3.1).

@@ -10,7 +10,7 @@
 // This makes every protocol rule directly unit-testable and lets the exact
 // same code run under goroutines, TCP, and the simulated cluster.
 //
-// Protocol recap (paper §4, DESIGN.md §3). A broadcast from ring position s
+// Protocol recap (paper §4). A broadcast from ring position s
 // proceeds in three passes, all clockwise:
 //
 //	pass A: raw body s -> 0 (skipped when the leader broadcasts)
@@ -608,7 +608,7 @@ func (e *Engine) tryDeliver() {
 
 // expectedAckReceptions returns how many times this process will receive the
 // ack of a segment originated at ring position sPos (0, 1 or 2; see
-// DESIGN.md §3 — positions in [s, t-1] see a backup-sender's ack twice).
+// ring.AckHops — positions in [s, t-1] see a backup-sender's ack twice).
 func (e *Engine) expectedAckReceptions(sPos int) int {
 	r := e.view.Ring
 	start := r.SeqStopPos(sPos) // ack originator's position

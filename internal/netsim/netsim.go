@@ -1,7 +1,6 @@
 // Package netsim is the discrete-event model of the paper's testbed: a
 // cluster of homogeneous machines on a fully switched 100 Mbit/s Ethernet.
-// It stands in for the Itanium cluster of Section 5 (see DESIGN.md,
-// "Substitutions").
+// It stands in for the Itanium cluster of the paper's Section 5.
 //
 // Physical model, matching the paper's Section 3 assumptions:
 //
@@ -22,7 +21,7 @@
 //     paper's Figures 8 and 9. The calibrated delivery constants
 //     reproduce the gap between raw Ethernet goodput (~94 Mb/s, Table 1)
 //     and FSR's measured 79 Mb/s — the paper's own gap comes from the
-//     per-message cost of its Java/DREAM stack (DESIGN.md §4).
+//     per-message cost of its Java/DREAM stack (paper §5).
 //
 // FSR rides a ring, so each node receives from exactly one predecessor;
 // receive-side link contention therefore never occurs and is not modeled.
@@ -62,7 +61,7 @@ const (
 	// paper's Java/DREAM implementation). Together with DefaultDeliverFixed
 	// it is calibrated so a saturated ring delivers ~79 Mb/s of payload
 	// with 8 KiB segments — the paper's headline number, and the single
-	// tuned quantity in the whole reproduction (DESIGN.md §4). Because
+	// tuned quantity in the whole reproduction. Because
 	// every process TO-delivers every segment exactly once, a delivery-
 	// dominated CPU makes the saturated throughput independent of both the
 	// ring size n and the sender count k — precisely the paper's Figures 8

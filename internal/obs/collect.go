@@ -84,7 +84,7 @@ func WriteEdgeMetrics(w io.Writer, self uint32, m edge.Metrics) error {
 
 	p.Gauge("fsr_edge_applied_seq", "Highest offset replicated from upstream.", float64(m.Applied), "edge", id)
 	p.Gauge("fsr_edge_store_base_seq", "Store horizon; offsets at or below it are not held as entries.", float64(m.StoreBase), "edge", id)
-	p.Gauge("fsr_edge_store_entries", "Entries held in the replica tail.", float64(m.StoreEntries), "edge", id)
+	p.Gauge("fsr_edge_store_entries", "Entries held in the in-memory tail (0 on a durable edge, which serves from its WAL).", float64(m.StoreEntries), "edge", id)
 	p.Gauge("fsr_edge_snapshot_seq", "Offset the held application snapshot covers.", float64(m.SnapshotSeq), "edge", id)
 	p.GaugeBool("fsr_edge_tail_connected", "Whether the upstream tail has spoken at least once.", m.TailConnected, "edge", id)
 	p.Gauge("fsr_edge_tail_lag_seconds", "Seconds since the upstream tail last spoke.", m.TailLag.Seconds(), "edge", id)

@@ -312,20 +312,12 @@ func TestScrapeUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	// Drain deliveries so the load loop is not throttled by full channels.
+	// Consume deliveries alongside the load, as an application would.
 	for i := range 3 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case _, ok := <-cluster.Node(i).Messages():
-					if !ok {
-						return
-					}
-				}
+			for range cluster.Node(i).Session().Subscribe(ctx, 0) {
 			}
 		}()
 	}

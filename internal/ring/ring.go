@@ -134,8 +134,8 @@ func (r *Ring) SeqStopPos(s int) int {
 
 // AckHops returns the ack hop budget — the number of ack *receptions* that
 // occur after the pass-B endpoint originates the acknowledgment — for a
-// broadcast whose sender sits at position s. Derived in DESIGN.md §3 from
-// the paper's two cases so that the ack terminates at p(t-1) after having
+// broadcast whose sender sits at position s. Derived from the two cases of
+// the paper's Section 4.1 so that the ack terminates at p(t-1) after having
 // passed pt, reproducing L(i) = 2n + t - i - 1 (and n + t - 1 for the
 // leader):
 //

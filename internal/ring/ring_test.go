@@ -142,8 +142,8 @@ func TestSeqStopPos(t *testing.T) {
 	}
 }
 
-// TestAckHopsPaperCases walks the worked examples from DESIGN.md §3 (derived
-// from the paper's Section 4.1 cases) and checks both the hop budget and the
+// TestAckHopsPaperCases walks worked examples derived from the paper's
+// Section 4.1 cases and checks both the hop budget and the
 // stability flag at ack origination.
 func TestAckHopsPaperCases(t *testing.T) {
 	cases := []struct {

@@ -15,9 +15,8 @@
 // splits serving into two regimes:
 //
 //   - Catch-up: a per-subscription pager goroutine pages the host's
-//     committed order (WAL or in-memory tail) from the subscription's
-//     cursor. This is the cold path — it exists only while a subscriber
-//     is behind.
+//     committed order (its Log) from the subscription's cursor. This is
+//     the cold path — it exists only while a subscriber is behind.
 //   - Tail: once a pager reaches the applied frontier it ATTACHes its
 //     subscription to the shared tail. From then on each committed batch
 //     is marshaled exactly once into a pooled EVENT frame whose bytes are
@@ -54,11 +53,17 @@ import (
 // internal ring package spelled out.
 type ProcID = ring.ProcID
 
-// Paging and pacing bounds (mirroring the catch-up transfer's).
+// MaxPageEntries and MaxPageBytes bound one page read from a Source, for
+// remote pagers and in-process subscribers alike (mirroring the catch-up
+// transfer's bounds).
 const (
-	maxPageEntries = 256
-	maxPageBytes   = 1 << 20
-	keepalive      = time.Second
+	MaxPageEntries = 256
+	MaxPageBytes   = 1 << 20
+)
+
+// Pacing bounds.
+const (
+	keepalive = time.Second
 	// defaultQueueCap bounds one client's transmit queue, in frames. At
 	// the default page bounds that is plenty of runway for a healthy
 	// client and a firm cap on what a stalled one can pin.
@@ -89,7 +94,8 @@ type Source interface {
 	Applied() uint64
 	// ReadCommitted pages the order in (cursor, applied].
 	ReadCommitted(cursor, applied uint64, maxEntries, maxBytes int) (Page, error)
-	// Watch returns a channel closed when the frontier next advances.
+	// Watch returns a channel closed when the frontier next advances past
+	// what Applied reported at the time of the call.
 	Watch() <-chan struct{}
 }
 
@@ -572,14 +578,16 @@ func (u *sub) run() {
 		if chanClosed(u.cancel) || chanClosed(u.s.stopc) {
 			return
 		}
+		// The channel first, then the frontier: a batch committed between
+		// the two closes the channel already held.
+		moved := src.Watch()
 		applied := src.Applied()
 		if u.cursor >= applied {
 			if u.tryAttach() {
 				return // the shared tail owns the subscription now
 			}
-			watch := src.Watch()
 			select {
-			case <-watch:
+			case <-moved:
 			case <-time.After(keepalive):
 				u.out.pushDrop(wire.EncodeClientEvent(&wire.ClientEvent{Sub: u.key.sub}))
 			case <-u.cancel:
@@ -589,7 +597,7 @@ func (u *sub) run() {
 			}
 			continue
 		}
-		page, err := src.ReadCommitted(u.cursor, applied, maxPageEntries, maxPageBytes)
+		page, err := src.ReadCommitted(u.cursor, applied, MaxPageEntries, MaxPageBytes)
 		if err != nil {
 			return // the host is failing (disk); the client fails over
 		}

@@ -4,7 +4,7 @@
 // view-change protocol that flushes protocol state so that TO-broadcast
 // uniformity holds across membership changes.
 //
-// Protocol (DESIGN.md §3, "view change"):
+// Protocol (one view change):
 //
 //  1. A trigger — failure-detector suspicion, join request, leave request,
 //     or leader rotation — reaches the coordinator: the first live member

@@ -26,8 +26,7 @@ type Message struct {
 	// Snapshot marks a state transfer on a subscription stream only: a
 	// Subscribe that resumed below the group's log truncation point starts
 	// with one pair whose Payload is the application snapshot covering
-	// every message up to Seq. Never set on Messages/StateMachine
-	// deliveries.
+	// every message up to Seq. Never set on StateMachine deliveries.
 	Snapshot bool
 }
 

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fsr/internal/core"
@@ -82,7 +81,6 @@ type Node struct {
 	statsc chan chan Metrics
 	stop   chan struct{}
 
-	msgs  chan Message
 	views chan ViewInfo
 
 	// Durability (nil / zero without Config.DurableDir).
@@ -92,41 +90,34 @@ type Node struct {
 	catch     *catchState // in-flight catch-up transfer (event-loop-owned)
 
 	// Session serving: the publish dedup index and parked client publishes
-	// (see nodesession.go) plus the shared serving engine — clients,
-	// subscription pagers, per-client writers and the encode-once fan-out.
+	// (see nodesession.go), the committed order as every consumer reads it
+	// — it owns the applied frontier — and the shared serving engine:
+	// clients, subscription pagers, per-client writers and the encode-once
+	// fan-out.
 	sess *sessSrv
+	clog *serve.Log
 	srv  *serve.Server
-	// fanScratch is the pump's reusable batch conversion buffer for the
-	// encode-once tail (pump goroutine only).
-	fanScratch []wire.ClientEventEntry
+	// batchScratch is the pump's reusable buffer for the entries of the
+	// batch being applied (pump goroutine only).
+	batchScratch []wire.ClientEventEntry
 
 	outMu    sync.Mutex
 	outCond  *sync.Cond
 	outBuf   []Message
 	outDone  bool
 	pumpBusy bool // a popped batch is being persisted (outMu)
-	snapPend bool // an admin-triggered snapshot awaits the pump (outMu)
-	asmState *assembler
-	// applied is the highest message sequence number persisted+applied;
-	// written by the pump under outMu, read by the event loop. While
-	// catching, the live stream is held back entirely until the catch-up
-	// transfer fills the hole below it (the transfer covers everything
-	// above the applied cursor, so held live copies simply deduplicate
-	// afterwards); catchBuf carries the recovered history from the event
-	// loop to the pump.
-	applied  uint64
+	// recovering: the popped batch carries catch-up history (outMu). Ready
+	// stays red until the pump has applied what the transfer handed over.
+	recovering bool
+	snapPend   bool // an admin-triggered snapshot awaits the pump (outMu)
+	asmState   *assembler
+	// While catching, the live stream is held back entirely until the
+	// catch-up transfer fills the hole below it (the transfer covers
+	// everything above the applied frontier, so held live copies simply
+	// deduplicate afterwards); catchBuf carries the recovered history from
+	// the event loop to the pump.
 	catching bool
 	catchBuf []catchItem
-
-	subMu      sync.Mutex
-	subs       []subscriber
-	nextSubID  uint64
-	subChanged chan struct{}
-	// msgsClaimed flips once Messages() is called: only then does a full
-	// channel block dispatch (the caller promised to drain). Unclaimed,
-	// the channel is best-effort up to its buffer — a member consumed
-	// purely through StateMachine or Sessions cannot be wedged by it.
-	msgsClaimed atomic.Bool
 
 	// Event-loop-owned state (no locking): receipts for own broadcasts,
 	// keyed by logical message ID, the latency sample window, and protocol
@@ -180,11 +171,6 @@ type bcastResp struct {
 type pendingReceipt struct {
 	r         *Receipt
 	submitted time.Time
-}
-
-type subscriber struct {
-	id uint64
-	fn func(Message)
 }
 
 // catchItem is one piece of recovered history traveling from the event
@@ -304,36 +290,39 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 
 	n := &Node{
-		cfg:        cfg,
-		tr:         tr,
-		log:        nodeLog,
-		engine:     engine,
-		wlog:       wlog,
-		sm:         cfg.StateMachine,
-		applied:    applied,
-		inbox:      make(chan inboundPayload, 4096),
-		bcast:      make(chan bcastReq),
-		joinc:      make(chan []ProcID, 1),
-		leave:      make(chan struct{}, 1),
-		rotate:     make(chan struct{}, 1),
-		statsc:     make(chan chan Metrics),
-		stop:       make(chan struct{}),
-		msgs:       make(chan Message, 256),
-		views:      make(chan ViewInfo, 64),
-		subChanged: make(chan struct{}),
-		receipts:   make(map[uint64]pendingReceipt),
-		joined:     !cfg.Joiner,
-		lastView:   viewInfo(view),
+		cfg:      cfg,
+		tr:       tr,
+		log:      nodeLog,
+		engine:   engine,
+		wlog:     wlog,
+		sm:       cfg.StateMachine,
+		inbox:    make(chan inboundPayload, 4096),
+		bcast:    make(chan bcastReq),
+		joinc:    make(chan []ProcID, 1),
+		leave:    make(chan struct{}, 1),
+		rotate:   make(chan struct{}, 1),
+		statsc:   make(chan chan Metrics),
+		stop:     make(chan struct{}),
+		views:    make(chan ViewInfo, 64),
+		receipts: make(map[uint64]pendingReceipt),
+		joined:   !cfg.Joiner,
+		lastView: viewInfo(view),
 	}
 	n.outCond = sync.NewCond(&n.outMu)
 	n.batcher, _ = tr.(transport.BatchSender)
 	n.sess = newSessSrv(n)
 	n.sess.index = index
-	if wlog == nil {
+	if wlog != nil {
+		// Snapshots are node-level; subscribers get the application part.
+		n.clog = serve.NewWALLog(wlog, applied, func(stored []byte) []byte {
+			_, app := openSnapshot(stored)
+			return app
+		})
+	} else {
 		// No durable log: retain a bounded in-memory tail of the applied
 		// order for subscribers. The horizon rises past anything this
 		// member never delivered (a joiner's missed prefix, holes).
-		n.sess.memlog = &memLog{}
+		n.clog = serve.NewRingLog(memberTailCap)
 	}
 
 	n.fdet, err = fd.New(fd.Config{
@@ -406,63 +395,6 @@ func viewInfo(v core.View) ViewInfo {
 
 // Self returns this node's process ID.
 func (n *Node) Self() ProcID { return n.cfg.Self }
-
-// Messages returns the TO-delivered message stream, in total order. The
-// channel closes when the node halts. Consumers must drain it; the node
-// buffers internally, so slow consumers never stall the protocol.
-//
-// While at least one Subscribe handler is registered, newly dispatched
-// messages go to the handlers instead of this channel; the two are
-// alternative consumption modes for the same ordered stream. A node with a
-// Config.StateMachine feeds the state machine instead and leaves this
-// channel silent unless a Subscribe handler is registered.
-//
-// Claim the channel (call Messages) before the stream starts: until the
-// first call the channel is filled best-effort only — once its buffer is
-// full further messages skip it, so a member consumed through its
-// StateMachine or through Sessions is never wedged by an unread channel.
-// After the first call a full channel blocks dispatch (later messages are
-// never dropped), as a claimed stream must stay complete.
-func (n *Node) Messages() <-chan Message {
-	n.msgsClaimed.Store(true)
-	return n.msgs
-}
-
-// Subscribe registers fn to receive delivered messages in total order,
-// starting with the first message dispatched after registration. All
-// handlers run sequentially on one dispatch goroutine (a slow handler
-// delays later messages but never the protocol itself, which buffers
-// internally). Handlers must return: a handler that blocks forever wedges
-// delivery and Stop, and a handler must not call Stop itself. Messages
-// still buffered when the node halts are dropped, as in channel mode. The
-// returned cancel function unregisters fn; once no handlers remain,
-// delivery reverts to the Messages channel.
-func (n *Node) Subscribe(fn func(Message)) (cancel func()) {
-	n.subMu.Lock()
-	id := n.nextSubID
-	n.nextSubID++
-	n.subs = append(slices.Clone(n.subs), subscriber{id: id, fn: fn})
-	n.signalSubChange()
-	n.subMu.Unlock()
-	return func() {
-		n.subMu.Lock()
-		defer n.subMu.Unlock()
-		for i, s := range n.subs {
-			if s.id == id {
-				n.subs = slices.Delete(slices.Clone(n.subs), i, i+1)
-				n.signalSubChange()
-				return
-			}
-		}
-	}
-}
-
-// signalSubChange wakes a dispatch blocked on the Messages channel so it
-// re-evaluates the consumption mode. Callers hold subMu.
-func (n *Node) signalSubChange() {
-	close(n.subChanged)
-	n.subChanged = make(chan struct{})
-}
 
 // Views returns installed-view notifications (advisory: entries are dropped
 // if the consumer lags). CurrentView reports the latest view without
@@ -578,7 +510,8 @@ func (n *Node) RotateLeader() bool {
 	}
 }
 
-// Stop halts the node and closes Messages. Safe to call more than once.
+// Stop halts the node; in-process subscriptions end. Safe to call more than
+// once.
 func (n *Node) Stop() {
 	n.halt()
 	n.wg.Wait()
@@ -597,11 +530,7 @@ func (n *Node) Stop() {
 // applied — its position in the total order as an application (persisted
 // and folded into the state machine), as opposed to the protocol's
 // segment-delivery cursor. With DurableDir it survives restarts.
-func (n *Node) Applied() uint64 {
-	n.outMu.Lock()
-	defer n.outMu.Unlock()
-	return n.applied
-}
+func (n *Node) Applied() uint64 { return n.clog.Applied() }
 
 // Ready reports nil when the node can serve: it has installed a view, is
 // not catching up on missed history, and its durable directory (if any)
@@ -621,7 +550,7 @@ func (n *Node) Ready() error {
 		return errors.New("fsr: no installed view")
 	}
 	n.outMu.Lock()
-	catching := n.catching
+	catching := n.catching || n.recovering || len(n.catchBuf) > 0
 	n.outMu.Unlock()
 	if catching {
 		return errors.New("fsr: catching up on missed history")
@@ -657,7 +586,7 @@ func (n *Node) halt() {
 }
 
 // fail records a fatal protocol error and halts the node (fail-stop): the
-// event loop exits, Messages closes, pending receipts fail, and the error
+// event loop exits, subscriptions end, pending receipts fail, and the error
 // surfaces via Err. Peers notice the resulting heartbeat silence and evict
 // this node through a view change.
 func (n *Node) fail(err error) {
@@ -1154,12 +1083,13 @@ func (n *Node) deliver() {
 	}
 	now := time.Now()
 	var dropSeq, horizonSeq uint64
+	applied := n.Applied()
 	n.outMu.Lock()
 	asm := n.asm()
 	for _, d := range ds {
 		msg, res := asm.add(d)
 		if res != asmComplete {
-			if res == asmDropped && msg.Seq > n.applied {
+			if res == asmDropped && msg.Seq > applied {
 				if n.wlog != nil {
 					dropSeq = msg.Seq
 				} else {
@@ -1190,7 +1120,7 @@ func (n *Node) deliver() {
 		n.extendCatchup(dropSeq)
 	}
 	if horizonSeq > 0 {
-		n.sess.raiseHorizon(horizonSeq)
+		n.clog.RaiseHorizon(horizonSeq)
 	}
 }
 
@@ -1232,7 +1162,7 @@ func (n *Node) refreshCatchup(v core.View, sync *core.Sync, prevNext uint64) {
 		// the skipped prefix: its subscriber horizon rises past it, so
 		// offset subscriptions are redirected to a member that has it.
 		if sync.StartSeq > prevNext && sync.StartSeq > 0 {
-			n.sess.raiseHorizon(sync.StartSeq - 1)
+			n.clog.RaiseHorizon(sync.StartSeq - 1)
 		}
 		return
 	}
@@ -1418,7 +1348,6 @@ func (n *Node) serveCatchup(from ProcID, req *wire.CatchupReq) {
 func (n *Node) catchupCeiling() uint64 {
 	n.outMu.Lock()
 	idle := len(n.outBuf) == 0 && len(n.catchBuf) == 0 && !n.catching && !n.pumpBusy
-	applied := n.applied
 	n.outMu.Unlock()
 	// Deliveries still buffered inside the engine (produced by earlier
 	// frames of this drain batch, not yet pulled by deliver) are in-flight
@@ -1427,7 +1356,7 @@ func (n *Node) catchupCeiling() uint64 {
 	if idle && n.engine.PendingDeliveries() == 0 {
 		return n.engine.NextDeliver() - 1
 	}
-	return applied
+	return n.Applied()
 }
 
 // handleCatchupResp feeds one page of recovered history to the pump and
@@ -1524,20 +1453,18 @@ func (n *Node) closeDeliveries() {
 	n.outMu.Unlock()
 }
 
-// deliveryPump moves reassembled messages from the unbounded buffer to the
-// consumers — the durable log and state machine first, then Subscribe
-// handlers or the Messages channel — so slow consumers cannot stall the
-// protocol loop. Each batch is persisted (one fsync) before any of it is
-// dispatched: nothing an application ever observed can be lost by a crash.
+// deliveryPump moves reassembled messages from the unbounded buffer to
+// the node's three outputs — the durable log, the state machine and the
+// committed Log every subscriber reads — so slow consumers cannot stall
+// the protocol loop. Each batch is persisted (one fsync) before any of it
+// becomes visible: nothing an application ever observed can be lost by a
+// crash.
 //
 // While a catch-up transfer is in flight the live stream is held back and
-// only recovered history (catchBuf) is applied, so the state machine never
-// sees the order with a gap; recovered messages reach the state machine
-// but not Subscribe/Messages — the live stream resumes once the node has
-// caught up.
+// only recovered history (catchBuf) is applied, so neither the state
+// machine nor a subscriber ever sees the order with a gap.
 func (n *Node) deliveryPump() {
 	defer n.wg.Done()
-	defer close(n.msgs)
 	for {
 		n.outMu.Lock()
 		for !n.pumpReadyLocked() && !n.outDone && !n.snapPend {
@@ -1554,6 +1481,7 @@ func (n *Node) deliveryPump() {
 		forceSnap := n.snapPend
 		n.snapPend = false
 		n.pumpBusy = len(recovered) > 0 || len(live) > 0
+		n.recovering = len(recovered) > 0
 		n.outMu.Unlock()
 		if len(recovered) == 0 && len(live) == 0 && !forceSnap {
 			if done {
@@ -1578,22 +1506,19 @@ func (n *Node) pumpReadyLocked() bool {
 // each message's envelope (filtering duplicate client publishes out of the
 // order — a deterministic decision, every member's index evolves from the
 // same applied prefix), append every surviving message to the WAL, fsync
-// once, fold into the state machine, then acknowledge the batch's client
-// publishes, dispatch the live messages and take a snapshot if the cadence
-// is due.
+// once, fold into the state machine, commit the batch to the Log (which
+// moves the applied frontier and wakes subscribers), then acknowledge the
+// batch's client publishes, fan it out to attached subscribers and take a
+// snapshot if the cadence is due.
 //
 // Recovered history and live messages are merged by sequence number (both
 // streams arrive ascending), so the state machine always sees the total
 // order: a view change can leave not-yet-applied live deliveries below the
-// recovered range in flight. Where the streams overlap, the live copy wins
-// — it is the one that reaches Subscribe/Messages — and the duplicate is
-// skipped by the cursor. Pump goroutine only.
+// recovered range in flight. Where the streams overlap the first copy is
+// applied and the other is skipped by the cursor. Pump goroutine only.
 func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool) error {
-	// n.applied is written under outMu but only ever by this goroutine,
-	// so reading it unlocked here is race-free.
-	cursor := n.applied
-	var dispatch []Message
-	var finals []Message // applied messages in final form, for the memlog
+	cursor := n.Applied()         // only this goroutine moves it
+	entries := n.batchScratch[:0] // applied messages in final form
 	var acks []pubAck
 	appended := false
 	snapJump := false // a snapshot transfer advanced the cursor past entries
@@ -1627,10 +1552,12 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 			n.sm.Apply(final)
 		}
 		n.sinceSnap++
-		finals = append(finals, final)
-		if isLive {
-			dispatch = append(dispatch, final)
-		}
+		entries = append(entries, wire.ClientEventEntry{
+			Seq:     final.Seq,
+			Origin:  final.Origin,
+			Logical: final.LogicalID,
+			Payload: final.Payload,
+		})
 		return nil
 	}
 	applyRecovered := func(it catchItem) error {
@@ -1665,9 +1592,7 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 		// A snapshot transfer always goes first: live messages at or below
 		// its seq are part of the state it carries, and applying them first
 		// would push the cursor past the snapshot, discarding the transfer
-		// and leaving the gap below it unfilled forever. For plain messages
-		// <= means live wins ties, so the copy that dispatches is the one
-		// applied (the recovered duplicate is skipped by the cursor).
+		// and leaving the gap below it unfilled forever.
 		takeLive := li < len(live) &&
 			(ri == len(recovered) ||
 				(recovered[ri].snap == nil && live[li].Seq <= recovered[ri].msg.Seq))
@@ -1688,21 +1613,25 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 			return err
 		}
 	}
-	// The ephemeral order tail must hold the batch before applied covers
-	// it, or a subscription pager could skip it (it pages up to applied).
-	n.sess.retainBatch(finals)
+	// Batch durable: make it visible (entries and frontier together, so no
+	// pager sees one without the other), then acknowledge the client
+	// publishes it committed — queued to the per-client writers, never
+	// blocking the pump — and fan it out to attached subscribers, one
+	// encode for all of them. A snapshot transfer has no entry stream for
+	// the range it covers, so it first demotes every attached subscription
+	// to pager catch-up, which serves the snapshot.
+	n.clog.Commit(entries, cursor)
 	n.outMu.Lock()
-	n.applied = cursor
-	n.pumpBusy = false // batch durable: applied now covers it
+	n.pumpBusy, n.recovering = false, false // applied now covers the batch
 	n.outMu.Unlock()
-	// Batch durable and visible: wake subscription pagers, acknowledge the
-	// client publishes it committed, and fan the batch out to attached
-	// subscribers (one encode for all of them).
-	n.sess.commitBatch(acks)
-	n.publishTail(finals, snapJump)
-	for _, m := range dispatch {
-		n.dispatch(m)
+	for _, a := range acks {
+		n.srv.Ack(a.cid, a.pub, a.seq)
 	}
+	if snapJump {
+		n.srv.DetachAll()
+	}
+	n.srv.PublishTail(entries)
+	n.batchScratch = entries
 	if n.wlog != nil && n.sm != nil &&
 		(n.sinceSnap >= n.cfg.SnapshotEvery || (forceSnap && cursor > 0)) {
 		data, err := n.sm.Snapshot()
@@ -1715,50 +1644,4 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 		n.sinceSnap = 0
 	}
 	return nil
-}
-
-// dispatch hands one message to the current consumption mode. A blocked
-// channel send re-evaluates when the subscriber set changes, so a consumer
-// that subscribes mid-stream takes over from the channel immediately.
-// With a StateMachine attached, the state machine (already fed by
-// applyBatch) is the consumer of record: the Messages channel is not used
-// unless a Subscribe handler is registered, so an application that never
-// drains the channel cannot wedge delivery.
-func (n *Node) dispatch(m Message) {
-	for {
-		n.subMu.Lock()
-		subs := n.subs
-		changed := n.subChanged
-		n.subMu.Unlock()
-		if len(subs) == 0 && n.sm != nil {
-			return
-		}
-		if len(subs) > 0 {
-			if n.stopping() {
-				return // drop, matching channel-mode shutdown semantics
-			}
-			for _, s := range subs {
-				s.fn(m)
-			}
-			return
-		}
-		if !n.msgsClaimed.Load() {
-			// Nobody has claimed the channel: fill its buffer for a late
-			// claimant, but never block the pump on it (a member serving
-			// only sessions has no channel reader at all).
-			select {
-			case n.msgs <- m:
-			default:
-			}
-			return
-		}
-		select {
-		case n.msgs <- m:
-			return
-		case <-changed:
-			// Subscriber set changed; re-evaluate the mode.
-		case <-n.stop:
-			return // drain silently on shutdown
-		}
-	}
 }

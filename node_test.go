@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"iter"
 	"sync"
 	"testing"
 	"time"
@@ -32,23 +33,41 @@ func newCluster(t *testing.T, n, tol int) *fsr.Cluster {
 	return c
 }
 
-// collect reads exactly want messages from node i (with a deadline).
+// cursors remembers, per node, the offset the last collect stopped at, so
+// successive collects on one node continue its stream.
+var cursors sync.Map // *fsr.Node -> fsr.Offset
+
+// collect reads the next want messages of node's committed order (with a
+// deadline), starting at offset 1 on first use.
 func collect(t *testing.T, node *fsr.Node, want int) []fsr.Message {
 	t.Helper()
+	if want == 0 {
+		return nil
+	}
+	from := fsr.Offset(1)
+	if last, ok := cursors.Load(node); ok {
+		from = last.(fsr.Offset) + 1
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out := take(t, node, node.Session().Subscribe(ctx, from), want)
+	cursors.Store(node, out[want-1].Seq)
+	t.Cleanup(func() { cursors.Delete(node) })
+	return out
+}
+
+// take reads exactly want messages from one of node's subscriptions; the
+// subscription's context carries the deadline.
+func take(t *testing.T, node *fsr.Node, stream iter.Seq2[fsr.Offset, fsr.Message], want int) []fsr.Message {
+	t.Helper()
 	var out []fsr.Message
-	deadline := time.After(20 * time.Second)
-	for len(out) < want {
-		select {
-		case m, ok := <-node.Messages():
-			if !ok {
-				t.Fatalf("node %d: message stream closed after %d/%d", node.Self(), len(out), want)
-			}
-			out = append(out, m)
-		case <-deadline:
-			t.Fatalf("node %d: timeout after %d/%d messages", node.Self(), len(out), want)
+	for _, m := range stream {
+		if out = append(out, m); len(out) == want {
+			return out
 		}
 	}
-	return out
+	t.Fatalf("node %d: stream ended after %d/%d messages", node.Self(), len(out), want)
+	return nil
 }
 
 func assertSameOrder(t *testing.T, a, b []fsr.Message) {
@@ -295,10 +314,14 @@ func TestDynamicJoin(t *testing.T) {
 		}
 	}
 joined:
+	// A joiner holds nothing below its admission point: read from its tail.
+	tailCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	tail := joiner.Session().Subscribe(tailCtx, 0)
 	if _, err := joiner.Broadcast(ctx, []byte("new blood")); err != nil {
 		t.Fatal(err)
 	}
-	msgs := collect(t, joiner, 1)
+	msgs := take(t, joiner, tail, 1)
 	if string(msgs[0].Payload) != "new blood" {
 		t.Fatalf("joiner got %q", msgs[0].Payload)
 	}

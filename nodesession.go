@@ -223,55 +223,15 @@ func openSnapshot(data []byte) (index, app []byte) {
 	return data[8 : 8+n], data[8+n:]
 }
 
-// --- In-memory order tail (non-durable members) ---------------------------
-
-// memLogCap bounds how much of the applied order a member without a
-// durable log retains for subscribers. Offsets that have fallen off (or
-// predate the first subscription) are below the member's horizon — it
-// answers RedirectCannotServe and the client tries another member.
-const memLogCap = 4096
-
-type memLog struct {
-	base    uint64 // offsets <= base are below the horizon
-	entries []Message
-}
-
-// append retains one applied message, evicting the oldest quarter when
-// capacity is reached (chunked, so the compaction memmove amortizes to
-// O(1) per append).
-func (l *memLog) append(m Message) {
-	if len(l.entries) >= memLogCap {
-		drop := memLogCap / 4
-		l.base = l.entries[drop-1].Seq
-		l.entries = append(l.entries[:0], l.entries[drop:]...)
-	}
-	l.entries = append(l.entries, m)
-}
-
-// read returns up to max entries with Seq > after.
-func (l *memLog) read(after uint64, max int) (entries []Message, belowHorizon bool) {
-	if after < l.base {
-		return nil, true
-	}
-	i, _ := slices.BinarySearchFunc(l.entries, after, func(m Message, seq uint64) int {
-		switch {
-		case m.Seq <= seq:
-			return -1
-		default:
-			return 1
-		}
-	})
-	end := min(len(l.entries), i+max)
-	return l.entries[i:end:end], false
-}
+// memberTailCap bounds how much of the applied order a member without a
+// durable log retains for subscribers. Offsets that have fallen off are
+// below the member's horizon — it answers RedirectCannotServe and the
+// client tries another member.
+const memberTailCap = 4096
 
 // --- Session serving ------------------------------------------------------
 
-// Local paging bounds (in-process subscriptions; remote serving pages
-// with internal/serve's own, identical bounds).
 const (
-	srvSubMaxEntries = 256
-	srvSubMaxBytes   = 1 << 20
 	// maxParkedClientPubs bounds client publishes parked while the member
 	// cannot broadcast (joining, view change, catch-up, own-queue full).
 	// Beyond it publishes are dropped; the client's ack-timeout retry is
@@ -286,12 +246,11 @@ const (
 )
 
 // sessSrv is the member-specific half of session serving: the publish
-// dedup index, in-flight and parked publish tracking, and the ephemeral
-// order tail. The protocol-facing half (clients, subscriptions, transmit
-// queues, fan-out) lives in Node.srv, the shared serving engine. The
+// dedup index and in-flight and parked publish tracking. The
+// protocol-facing half (clients, subscriptions, transmit queues, fan-out)
+// lives in Node.srv, the shared serving engine, reading Node.clog. The
 // index and counters are written by the delivery pump (apply time) and
-// read by the event loop (publish dedup). Lock ordering: sessSrv.mu may
-// be held while taking Node.outMu (via Node.Applied), never the reverse.
+// read by the event loop (publish dedup).
 type sessSrv struct {
 	n *Node
 
@@ -310,9 +269,7 @@ type sessSrv struct {
 	// cost it an interior hole. Member-local and ephemeral (not part of
 	// the deterministic index): it shapes what this member admits, not
 	// what the order contains.
-	gates  map[ProcID]uint64
-	memlog *memLog       // non-durable members only
-	signal chan struct{} // closed and replaced at every applied batch
+	gates map[ProcID]uint64
 
 	pubsAccepted uint64 // client publishes committed through this member
 	dupsFiltered uint64 // duplicate publishes filtered at apply time
@@ -347,7 +304,6 @@ func newSessSrv(n *Node) *sessSrv {
 		inflight:  make(map[pubKey]time.Time),
 		perClient: make(map[ProcID]int),
 		gates:     make(map[ProcID]uint64),
-		signal:    make(chan struct{}),
 	}
 }
 
@@ -404,13 +360,6 @@ func (s *sessSrv) gateAllows(cid ProcID, pubID uint64) bool {
 		delete(s.gates, cid)
 	}
 	return true
-}
-
-// watch returns a channel closed at the next applied batch.
-func (s *sessSrv) watch() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.signal
 }
 
 // restoreIndex replaces the publish index from snapshot bytes (state
@@ -472,34 +421,6 @@ func (s *sessSrv) classify(m Message, enveloped bool) (final Message, dup bool, 
 	return final, false, &pubAck{cid: cid, pub: pubID, seq: m.Seq}
 }
 
-// retainBatch keeps a pump batch in the ephemeral order tail (no-op on
-// durable members, whose WAL is the retention). It runs before the applied
-// frontier advances over the batch, so a subscription pager can never
-// observe the new frontier without the entries behind it.
-func (s *sessSrv) retainBatch(finals []Message) {
-	s.mu.Lock()
-	if s.memlog != nil {
-		for _, m := range finals {
-			s.memlog.append(m)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// commitBatch runs after a pump batch is durable and covered by the
-// applied frontier: wake subscription pagers and queue the batch's
-// PUBACKs (transmitted by the per-client writers, never blocking the
-// pump).
-func (s *sessSrv) commitBatch(acks []pubAck) {
-	s.mu.Lock()
-	close(s.signal)
-	s.signal = make(chan struct{})
-	s.mu.Unlock()
-	for _, a := range acks {
-		s.n.srv.Ack(a.cid, a.pub, a.seq)
-	}
-}
-
 // snapshotIndex serializes the index for inclusion in a durable snapshot.
 func (s *sessSrv) snapshotIndex() []byte {
 	s.mu.Lock()
@@ -507,33 +428,7 @@ func (s *sessSrv) snapshotIndex() []byte {
 	return s.index.encode()
 }
 
-// raiseHorizon marks everything at or below seq as unservable by this
-// member (an ephemeral joiner's missed prefix, or a hole the assembler
-// had to drop): subscribers wanting older offsets are redirected to a
-// member that retains them.
-func (s *sessSrv) raiseHorizon(seq uint64) {
-	s.mu.Lock()
-	if l := s.memlog; l != nil && seq > l.base {
-		l.base = seq
-		i := 0
-		for i < len(l.entries) && l.entries[i].Seq <= seq {
-			i++
-		}
-		l.entries = append(l.entries[:0], l.entries[i:]...)
-	}
-	s.mu.Unlock()
-}
-
 // --- Node: serving client frames (event loop) -----------------------------
-
-// nodeSource adapts the member's committed order to the serving engine.
-type nodeSource struct{ n *Node }
-
-func (s nodeSource) Applied() uint64        { return s.n.Applied() }
-func (s nodeSource) Watch() <-chan struct{} { return s.n.sess.watch() }
-func (s nodeSource) ReadCommitted(cursor, applied uint64, maxEntries, maxBytes int) (serve.Page, error) {
-	return s.n.readCommitted(cursor, applied, maxEntries, maxBytes)
-}
 
 // newServe builds the member's serving engine: publishes run through the
 // dedup/broadcast path on the event loop (Handle is only called there),
@@ -541,38 +436,13 @@ func (s nodeSource) ReadCommitted(cursor, applied uint64, maxEntries, maxBytes i
 func (n *Node) newServe() *serve.Server {
 	return serve.New(serve.Config{
 		Transport: n.tr,
-		Source:    nodeSource{n: n},
+		Source:    n.clog,
 		Publish:   n.handleClientPublish,
 		Redirect: func() (members []ProcID, addrs []string, applied uint64) {
 			return n.CurrentView().Members, nil, n.Applied()
 		},
 		Logger: n.log,
 	})
-}
-
-// publishTail fans one applied batch out to the attached subscribers:
-// one encode-once EVENT frame for every attached client. A snapshot
-// transfer has no entry stream for the range it covers, so it demotes
-// every attached subscription to pager catch-up (which serves the
-// snapshot) before the tail resumes. Pump goroutine only.
-func (n *Node) publishTail(finals []Message, snapJump bool) {
-	if snapJump {
-		n.srv.DetachAll()
-	}
-	if len(finals) == 0 {
-		return
-	}
-	n.fanScratch = n.fanScratch[:0]
-	for i := range finals {
-		m := &finals[i]
-		n.fanScratch = append(n.fanScratch, wire.ClientEventEntry{
-			Seq:     m.Seq,
-			Origin:  m.Origin,
-			Logical: m.LogicalID,
-			Payload: m.Payload,
-		})
-	}
-	n.srv.PublishTail(n.fanScratch)
 }
 
 // clientPubBlocked reports whether the member can broadcast on behalf of a
@@ -675,81 +545,13 @@ func (n *Node) drainClientPubs() {
 	}
 }
 
-// --- Reading the committed order (shared by remote and local sessions) ----
-
-// readCommitted pages the committed order in (cursor, applied]. On a
-// durable member it reads the WAL, falling back to the latest snapshot
-// when the cursor lies below the retained entries (the WAL was truncated
-// behind a snapshot); on an ephemeral member it reads the bounded
-// in-memory tail. Safe from any goroutine.
-func (n *Node) readCommitted(cursor, applied uint64, maxEntries, maxBytes int) (serve.Page, error) {
-	if n.wlog == nil {
-		s := n.sess
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.memlog == nil {
-			return serve.Page{BelowHorizon: true}, nil
-		}
-		entries, below := s.memlog.read(cursor, maxEntries)
-		if below {
-			return serve.Page{BelowHorizon: true}, nil
-		}
-		page := serve.Page{Cursor: applied}
-		for i := range entries {
-			m := &entries[i]
-			page.Entries = append(page.Entries, wire.ClientEventEntry{
-				Seq:     m.Seq,
-				Origin:  m.Origin,
-				Logical: m.LogicalID,
-				Payload: m.Payload,
-			})
-		}
-		if len(entries) > 0 {
-			if last := entries[len(entries)-1].Seq; len(entries) == maxEntries {
-				page.Cursor = last
-			} else if last > page.Cursor {
-				// The tail ran past the sampled applied frontier; never let
-				// the cursor fall behind what was served.
-				page.Cursor = last
-			}
-		}
-		return page, nil
-	}
-	if snap, ok := n.wlog.LatestSnapshot(); ok && snap.Seq > cursor {
-		if first, _ := n.wlog.Bounds(); first == 0 || first > cursor+1 {
-			// The entries the subscriber needs are truncated behind the
-			// snapshot: hand over the application state instead.
-			_, app := openSnapshot(snap.Data)
-			return serve.Page{Snap: app, SnapSeq: snap.Seq, Cursor: snap.Seq}, nil
-		}
-	}
-	entries, more, err := n.wlog.ReadFrom(cursor, applied, maxEntries, maxBytes)
-	if err != nil {
-		return serve.Page{}, err
-	}
-	page := serve.Page{Cursor: applied}
-	for i := range entries {
-		e := &entries[i]
-		page.Entries = append(page.Entries, wire.ClientEventEntry{
-			Seq:     e.Seq,
-			Origin:  ProcID(e.Origin),
-			Logical: e.LogicalID,
-			Payload: e.Payload,
-		})
-	}
-	if more {
-		page.Cursor = entries[len(entries)-1].Seq
-	}
-	return page, nil
-}
-
 // --- In-process sessions --------------------------------------------------
 
 // Session returns this member's in-process Session: the same interface a
 // remote client gets from client.Dial or Cluster.Dial, served without the
 // wire. Publish is Broadcast (member identity, member backpressure);
-// Subscribe streams the committed order from any offset through the same
-// durable-log paging as remote subscriptions. Sessions share the node —
+// Subscribe streams the committed order from any offset out of the same
+// Log remote subscriptions are paged from. Sessions share the node —
 // closing one is a no-op; stopping the node ends them all.
 func (n *Node) Session() Session { return nodeSession{n: n} }
 
@@ -767,35 +569,36 @@ func (s nodeSession) Err() error { return s.n.Err() }
 
 func (s nodeSession) Close() error { return nil }
 
-// subscribeLocal is the in-process subscription stream: identical paging
-// and snapshot-fallback semantics to remote serving, yielding directly.
+// subscribeLocal is the in-process subscription stream: it pages the same
+// Log with the same call as the remote pagers in internal/serve, yielding
+// directly. from == 0 is the frontier at the time of the Subscribe call.
+// The stream ends when ctx is done, the node halts, or the offset wanted
+// has fallen below an ephemeral member's horizon.
 func (n *Node) subscribeLocal(ctx context.Context, from Offset) iter.Seq2[Offset, Message] {
+	start := from - 1
+	if from == 0 {
+		// A joiner that has applied nothing yet starts above its horizon.
+		base, _, _ := n.clog.Held()
+		start = max(n.Applied(), base)
+	}
 	return func(yield func(Offset, Message) bool) {
-		var cursor uint64
-		if from == 0 {
-			cursor = n.Applied()
-		} else {
-			cursor = from - 1
-		}
-		for {
-			if ctx.Err() != nil || n.stopping() {
-				return
-			}
-			applied := n.Applied()
+		cursor := start
+		for ctx.Err() == nil && !n.stopping() {
+			// The channel first, then the frontier: a batch committed
+			// between the two closes the channel already held.
+			moved := n.clog.Watch()
+			applied := n.clog.Applied()
 			if cursor >= applied {
-				watch := n.sess.watch()
 				select {
-				case <-watch:
+				case <-moved:
 				case <-ctx.Done():
-					return
 				case <-n.stop:
-					return
 				}
 				continue
 			}
-			page, err := n.readCommitted(cursor, applied, srvSubMaxEntries, srvSubMaxBytes)
+			page, err := n.clog.ReadCommitted(cursor, applied, serve.MaxPageEntries, serve.MaxPageBytes)
 			if err != nil || page.BelowHorizon {
-				return // node failing, or the offset predates this member's horizon
+				return
 			}
 			if page.Snap != nil {
 				if !yield(page.SnapSeq, Message{Seq: page.SnapSeq, Snapshot: true, Payload: page.Snap}) {

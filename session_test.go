@@ -458,8 +458,15 @@ func TestSessionFailover10k(t *testing.T) {
 	}
 
 	// Survivors agree and filtered exactly the duplicates the retries sent.
-	m1 := cluster.Node(1).Metrics()
-	m2 := cluster.Node(2).Metrics()
+	// (The receipts resolve at the member that acked; the other survivor's
+	// pump may still be applying the last batch — wait for it, bounded.)
+	var m1, m2 Metrics
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		m1, m2 = cluster.Node(1).Metrics(), cluster.Node(2).Metrics()
+		if m1.Applied == m2.Applied || time.Now().After(deadline) {
+			break
+		}
+	}
 	if m1.Applied != m2.Applied {
 		t.Fatalf("survivors disagree on applied frontier: %d vs %d", m1.Applied, m2.Applied)
 	}
