@@ -30,9 +30,14 @@ type Config struct {
 	// min(T, n-1). Default 1.
 	T int
 
-	// SegmentSize caps one segment's payload bytes; larger broadcasts are
-	// split so uniform frame sizes keep large messages from stalling small
-	// ones (paper §4.1). Default core.DefaultSegmentSize (8 KiB).
+	// SegmentSize caps the application bytes one segment carries: a
+	// broadcast or client publish of up to SegmentSize bytes always rides
+	// the ring as exactly one segment. The ring envelope (13 bytes of
+	// client identity on a session publish, 1 byte on a member broadcast)
+	// is carried on top of the cap, so segments on the wire are at most
+	// SegmentSize+13 bytes. Larger payloads are split at that boundary, so
+	// uniform frame sizes keep large messages from stalling small ones
+	// (paper §4.1). Default core.DefaultSegmentSize (8 KiB).
 	SegmentSize int
 
 	// MaxPiggyback bounds acknowledgments piggybacked per frame
@@ -140,6 +145,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.T < 0 {
 		return c, fmt.Errorf("fsr: negative T %d", c.T)
+	}
+	if c.SegmentSize <= 0 {
+		c.SegmentSize = core.DefaultSegmentSize
 	}
 	if c.MaxPendingOwn <= 0 {
 		c.MaxPendingOwn = 1024

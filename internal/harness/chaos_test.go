@@ -101,6 +101,13 @@ func TestChaos(t *testing.T) {
 	if !pinned && count >= 10 && MultiSegFramesObserved() == 0 {
 		t.Errorf("no multi-segment frame observed across %d scenarios: engine batching is not being exercised by chaos traffic", count)
 	}
+	// Coverage guard for reassembly: payloads run up to 1.5 × SegmentSize,
+	// so about three messages in ten must have needed a second segment.
+	extra := ExtraSegmentsPerMessage()
+	t.Logf("%.2f extra segments per message", extra)
+	if !pinned && count >= 10 && (extra < 0.15 || extra > 0.6) {
+		t.Errorf("%.2f extra segments per message across %d scenarios, want about 0.3: chaos traffic no longer straddles the segment boundary as intended", extra, count)
+	}
 }
 
 // TestChaosHostileDiskPinned replays a fixed set of hostile-disk scenarios

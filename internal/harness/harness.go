@@ -64,6 +64,26 @@ var multiSegFrames atomic.Uint64
 // MultiSegFramesObserved reports the accumulated count (see above).
 func MultiSegFramesObserved() uint64 { return multiSegFrames.Load() }
 
+// chaosSegments and chaosMessages accumulate, per scenario, the sequence
+// numbers one member's applied history spans (a segment consumes one each)
+// and the messages in it. Their ratio is measured, not derived from MaxPay
+// and SegmentSize: the suite asserts that chaos traffic still exercises
+// reassembly wherever the segment boundary happens to sit.
+var chaosSegments, chaosMessages atomic.Uint64
+
+// ExtraSegmentsPerMessage reports how many segments beyond its first the
+// average message of the scenarios run so far needed — the share of
+// two-part messages, as MaxPay stays below two segments. Sequence numbers
+// spent on filtered duplicate publishes or abandoned broadcasts count as
+// extra segments too; they are rare.
+func ExtraSegmentsPerMessage() float64 {
+	segs, msgs := chaosSegments.Load(), chaosMessages.Load()
+	if msgs == 0 {
+		return 0
+	}
+	return float64(segs)/float64(msgs) - 1
+}
+
 // The chaos decorator composes with every cluster transport: it is itself
 // a ClusterTransport, and both shipped backends satisfy its Inner surface.
 var (
@@ -249,7 +269,7 @@ func Generate(seed int64, soak bool) Scenario {
 		T:        1,
 		Senders:  2 + rng.Intn(3), // 2..4
 		Messages: 12 + rng.Intn(18),
-		MaxPay:   384, // SegmentSize is 256: ~40% of messages are multi-part
+		MaxPay:   384, // SegmentSize is 256 (+13 of envelope on the ring): ~30% of messages are two-part
 		Gap:      time.Duration(rng.Intn(4)) * time.Millisecond,
 		Net: chaos.Options{
 			Seed:       seed,
@@ -688,6 +708,11 @@ func RunScenario(t TB, sc Scenario) {
 		return
 	}
 	logs := run.collectLogs()
+	if len(live) > 0 && len(logs[live[0]]) > 0 {
+		log := logs[live[0]] // the live members agree (check, below): any one history will do
+		chaosSegments.Add(log[len(log)-1].Seq)
+		chaosMessages.Add(uint64(len(log)))
+	}
 	run.checkSubscribers(logs, collectors)
 	subCancel()
 	if t.Failed() {

@@ -159,6 +159,7 @@ type Log struct {
 
 	snap *Snapshot // latest snapshot, kept in memory for serving
 	hint readHint  // resume point for paged catch-up reads
+	rec  []byte    // Append's record scratch, reused under mu
 
 	log      *slog.Logger
 	appends  uint64
@@ -412,7 +413,10 @@ func (l *Log) Append(e Entry) error {
 			return err
 		}
 	}
-	rec := appendRecord(nil, e)
+	rec := appendRecord(l.rec[:0], e)
+	if cap(rec) <= maxRecordScratch {
+		l.rec = rec // else: one huge entry must not pin its buffer for good
+	}
 	if _, err := l.w.Write(rec); err != nil {
 		// A short write leaves a partial record in the buffer (and maybe
 		// on disk). Poisoning here means no later append can flush bytes
@@ -732,6 +736,9 @@ func (l *Log) Close() error {
 	l.w = nil
 	return err
 }
+
+// maxRecordScratch bounds the record buffer Append keeps between calls.
+const maxRecordScratch = 4 << 20
 
 // appendRecord frames one entry onto buf.
 func appendRecord(buf []byte, e Entry) []byte {

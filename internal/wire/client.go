@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"fsr/internal/ring"
 )
@@ -75,7 +76,17 @@ type ClientPublish struct {
 	// from 1). Retries reuse the PubID; commits dedup on it.
 	PubID   uint64
 	Payload []byte
+	// Frame is the whole encoded frame a decoded publish came from
+	// (Payload is Frame[ClientPublishHeader:]); nil on a value built for
+	// encoding. The serving member turns the frame into its ring envelope
+	// in place instead of copying the payload out of it.
+	Frame []byte
 }
+
+// ClientPublishHeader is the encoded size of everything a PUBLISH frame
+// carries before its payload: kind, type, PubID and payload length. The
+// payload is the rest of the frame.
+const ClientPublishHeader = 2 + 8 + 4
 
 // ClientPubAck confirms that a publish is committed: persisted by the
 // serving member at sequence number Seq of the total order. Seq can be 0
@@ -190,7 +201,7 @@ func EncodeClientHello(h *ClientHello) []byte {
 
 // EncodeClientPublish serializes p, prefixed with KindClient.
 func EncodeClientPublish(p *ClientPublish) []byte {
-	buf := make([]byte, 0, 2+8+4+len(p.Payload))
+	buf := make([]byte, 0, ClientPublishHeader+len(p.Payload))
 	buf = append(buf, KindClient, clientPublish)
 	buf = binary.LittleEndian.AppendUint64(buf, p.PubID)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Payload)))
@@ -224,8 +235,8 @@ func EncodeClientSubscribe(s *ClientSubscribe) []byte {
 // clientEventEntryFixed is the encoded size of an entry minus its payload.
 const clientEventEntryFixed = 8 + 4 + 8 + 4
 
-// EncodeClientEvent serializes e, prefixed with KindClient.
-func EncodeClientEvent(e *ClientEvent) []byte {
+// clientEventSize is the exact encoded size of e.
+func clientEventSize(e *ClientEvent) int {
 	n := 2 + 8 + 1 + 4
 	if e.HasSnapshot {
 		n += 8 + 4 + len(e.Snapshot)
@@ -233,13 +244,20 @@ func EncodeClientEvent(e *ClientEvent) []byte {
 	for i := range e.Entries {
 		n += clientEventEntryFixed + len(e.Entries[i].Payload)
 	}
-	return AppendClientEvent(make([]byte, 0, n), e)
+	return n
+}
+
+// EncodeClientEvent serializes e, prefixed with KindClient.
+func EncodeClientEvent(e *ClientEvent) []byte {
+	return AppendClientEvent(nil, e)
 }
 
 // AppendClientEvent appends e's encoding to buf and returns the extended
-// slice. The fan-out hot path encodes into pooled buffers with it; the
-// encoding is identical to EncodeClientEvent.
+// slice, growing buf at most once (a tail frame of a hundred 8 KiB entries
+// would otherwise double its way up through a dozen reallocations). The
+// fan-out hot path encodes into pooled buffers with it.
 func AppendClientEvent(buf []byte, e *ClientEvent) []byte {
+	buf = slices.Grow(buf, clientEventSize(e))
 	buf = append(buf, KindClient, clientEvent)
 	buf = binary.LittleEndian.AppendUint64(buf, e.Sub)
 	var flags byte
@@ -331,7 +349,7 @@ func DecodeClient(buf []byte) (any, error) {
 		}
 		return &h, trailing(&r)
 	case clientPublish:
-		var p ClientPublish
+		p := ClientPublish{Frame: buf}
 		if p.PubID, err = r.u64(); err != nil {
 			return nil, err
 		}

@@ -21,7 +21,10 @@ type Message struct {
 	// for member broadcasts, the client-assigned publish ID for session
 	// publishes.
 	LogicalID uint64
-	// Payload is the reassembled application payload. The receiver owns it.
+	// Payload is the reassembled application payload. A StateMachine must
+	// treat it as read-only (the member's log and its subscribers hold
+	// the same bytes); on a subscription stream it is a slice of the
+	// frame it arrived in — see Session.Subscribe for what that allows.
 	Payload []byte
 	// Snapshot marks a state transfer on a subscription stream only: a
 	// Subscribe that resumed below the group's log truncation point starts

@@ -276,7 +276,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 
 	engine, err := core.NewEngine(core.Config{
 		Self:         cfg.Self,
-		SegmentSize:  cfg.SegmentSize,
+		SegmentSize:  cfg.SegmentSize + envClientHeader, // the envelope rides on top of the cap
 		MaxPiggyback: cfg.MaxPiggyback,
 		MaxFrameData: cfg.MaxFrameData,
 		StartDeliver: applied + 1,

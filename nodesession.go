@@ -43,13 +43,18 @@ func wrapRaw(payload []byte) []byte {
 	return buf
 }
 
-func wrapClient(cid ProcID, pubID uint64, payload []byte) []byte {
-	buf := make([]byte, envClientHeader+len(payload))
-	buf[0] = envClient
-	binary.LittleEndian.PutUint32(buf[1:], uint32(cid))
-	binary.LittleEndian.PutUint64(buf[5:], pubID)
-	copy(buf[envClientHeader:], payload)
-	return buf
+// sealClientPub turns a decoded PUBLISH frame into the client envelope
+// around its payload without moving the payload: the envelope is one byte
+// shorter than the frame's own header, so it is written over the header's
+// last envClientHeader bytes, in the inbound buffer this member owns
+// (transport.Handler hands the buffer over). The publish must have been
+// decoded from a frame; its header fields are not readable afterwards.
+func sealClientPub(cid ProcID, p *wire.ClientPublish) []byte {
+	env := p.Frame[wire.ClientPublishHeader-envClientHeader:]
+	env[0] = envClient
+	binary.LittleEndian.PutUint32(env[1:], uint32(cid))
+	binary.LittleEndian.PutUint64(env[5:], p.PubID)
+	return env
 }
 
 // openEnvelope splits one enveloped engine payload. Unknown leading bytes
@@ -286,9 +291,9 @@ type pubKey struct {
 }
 
 type parkedPub struct {
-	cid     ProcID
-	pub     uint64
-	payload []byte
+	cid ProcID
+	pub uint64
+	env []byte // the enveloped publish, ready for the engine
 }
 
 // pubAck is one acknowledgment owed after the current batch is durable.
@@ -494,6 +499,7 @@ func (n *Node) handleClientPublish(from ProcID, p *wire.ClientPublish) {
 		return
 	}
 	s.addInflight(key)
+	env := sealClientPub(from, p)
 	// Queue behind the parked backlog even when broadcasting just
 	// unblocked: a publish parked during the blocked window must reach
 	// the engine before anything that arrived after it, or the ring
@@ -501,7 +507,7 @@ func (n *Node) handleClientPublish(from ProcID, p *wire.ClientPublish) {
 	// overtake twin of the gate above).
 	if blocked || len(s.parked) > 0 {
 		if len(s.parked) < maxParkedClientPubs {
-			s.parked = append(s.parked, parkedPub{cid: from, pub: p.PubID, payload: p.Payload})
+			s.parked = append(s.parked, parkedPub{cid: from, pub: p.PubID, env: env})
 		} else {
 			s.removeInflight(key) // dropped: the client's retry is the backpressure
 			s.gateDrop(from, p.PubID)
@@ -510,13 +516,13 @@ func (n *Node) handleClientPublish(from ProcID, p *wire.ClientPublish) {
 		return
 	}
 	s.mu.Unlock()
-	n.broadcastClientPub(from, p.PubID, p.Payload)
+	n.broadcastClientPub(from, p.PubID, env)
 }
 
-// broadcastClientPub submits one deduplicated client publish to the
-// engine. Event loop only.
-func (n *Node) broadcastClientPub(cid ProcID, pubID uint64, payload []byte) {
-	if _, err := n.engine.Broadcast(wrapClient(cid, pubID, payload)); err != nil {
+// broadcastClientPub submits one deduplicated, enveloped client publish to
+// the engine. Event loop only.
+func (n *Node) broadcastClientPub(cid ProcID, pubID uint64, env []byte) {
+	if _, err := n.engine.Broadcast(env); err != nil {
 		s := n.sess
 		s.mu.Lock()
 		s.removeInflight(pubKey{cid: cid, pub: pubID})
@@ -541,7 +547,7 @@ func (n *Node) drainClientPubs() {
 		p := s.parked[0]
 		s.parked = s.parked[1:]
 		s.mu.Unlock()
-		n.broadcastClientPub(p.cid, p.pub, p.payload)
+		n.broadcastClientPub(p.cid, p.pub, p.env)
 	}
 }
 

@@ -40,11 +40,14 @@ type Session interface {
 	// Publish submits one payload for uniform total order broadcast. It
 	// returns once the session has accepted the message — publishes are
 	// pipelined, and Publish blocks (honoring ctx) only while the
-	// session's in-flight window is full. The Receipt resolves when the
-	// message is committed: durable at the serving member and uniformly
-	// delivered, with Seq reporting its offset. Remote sessions deliver
-	// each accepted publish exactly once even across member crashes and
-	// redirects (client-assigned IDs make retries idempotent).
+	// session's in-flight window is full. The payload has been copied by
+	// then (the session's one copy of it, straight into the frame it
+	// sends): the caller may reuse the buffer as soon as Publish returns.
+	// The Receipt resolves when the message is committed: durable at the
+	// serving member and uniformly delivered, with Seq reporting its
+	// offset. Remote sessions deliver each accepted publish exactly once
+	// even across member crashes and redirects (client-assigned IDs make
+	// retries idempotent).
 	Publish(ctx context.Context, payload []byte) (*Receipt, error)
 
 	// Subscribe streams the committed order as (offset, message) pairs,
@@ -56,6 +59,17 @@ type Session interface {
 	// truncation point first receives a state snapshot: a pair whose
 	// Message has Snapshot == true, Payload holding the application
 	// snapshot that covers every message up to its offset.
+	//
+	// Payloads are handed out without a copy: on a remote session the
+	// messages of one EVENT frame (up to a page: 256 messages or 1 MiB)
+	// are disjoint, capacity-limited slices of that frame's receive
+	// buffer, so appending to or overwriting one never reaches a
+	// neighbour — but retaining one keeps the whole frame alive. Clone a
+	// payload before keeping it for long. Two subscriptions of the same
+	// session that follow the live tail are fed from the same frames and
+	// see the same bytes, as do all in-process subscribers of one member;
+	// a consumer that modifies payloads in place needs a session of its
+	// own.
 	//
 	// The iterator blocks while the order is idle and returns when ctx is
 	// done, the session closes, or the subscription becomes permanently
@@ -231,7 +245,11 @@ func (s *remoteSession) LastContact() time.Time {
 }
 
 type pendingPub struct {
-	id      uint64
+	id uint64
+	// payload is the tail of the PUBLISH frame first sent for this publish
+	// — the session's one copy of the caller's bytes. A failover re-encodes
+	// from it; the header in front of it is never read again (over a
+	// shared-memory transport the serving member rewrites it in place).
 	payload []byte
 	r       *Receipt
 	sentAt  time.Time
@@ -276,9 +294,10 @@ func (s *remoteSession) Publish(ctx context.Context, payload []byte) (*Receipt, 
 	s.mu.Lock()
 	id := s.nextPub
 	s.nextPub++
+	frame := wire.EncodeClientPublish(&wire.ClientPublish{PubID: id, Payload: payload})
 	p := &pendingPub{
 		id:      id,
-		payload: slices.Clone(payload),
+		payload: frame[wire.ClientPublishHeader:],
 		r:       newReceipt(),
 		sentAt:  time.Now(),
 	}
@@ -294,7 +313,7 @@ func (s *remoteSession) Publish(ctx context.Context, payload []byte) (*Receipt, 
 	s.mu.Unlock()
 	var err error
 	if link != nil {
-		err = link.Send(wire.EncodeClientPublish(&wire.ClientPublish{PubID: id, Payload: p.payload}))
+		err = link.Send(frame)
 	}
 	s.sendMu.Unlock()
 	if err != nil {
@@ -716,7 +735,7 @@ func (s *remoteSession) foldPage(sub *remoteSub, e *wire.ClientEvent) {
 		m := Message{
 			Seq:      e.SnapSeq,
 			Snapshot: true,
-			Payload:  slices.Clone(e.Snapshot),
+			Payload:  e.Snapshot,
 		}
 		if !s.deliver(sub, e.SnapSeq, m) {
 			return
@@ -732,7 +751,7 @@ func (s *remoteSession) foldPage(sub *remoteSub, e *wire.ClientEvent) {
 			Seq:       en.Seq,
 			Origin:    en.Origin,
 			LogicalID: en.Logical,
-			Payload:   slices.Clone(en.Payload),
+			Payload:   en.Payload,
 		}
 		if !s.deliver(sub, en.Seq, m) {
 			return

@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fsr/transport"
@@ -81,14 +82,17 @@ type Transport struct {
 	cfg Config
 	ln  net.Listener
 
+	// handler is the installed inbound handler, published only once the
+	// pre-handler backlog has been replayed: dispatch reads it without mu,
+	// and takes mu (to queue behind the backlog) only while it is nil.
+	handler atomic.Pointer[transport.Handler]
+
 	mu      sync.Mutex
-	handler transport.Handler
 	conns   map[transport.ProcID]*peerConn    // outbound, dialed
 	replies map[transport.ProcID]*peerConn    // inbound from non-peers (session clients)
 	redial  map[transport.ProcID]*redialState // per-peer dial pacing
 	inbound map[net.Conn]struct{}             // accepted, closed with the endpoint
 	pending []pendingPayload                  // buffered inbound before SetHandler finishes replaying
-	replay  bool                              // SetHandler is replaying pending; keep buffering
 	closed  bool
 
 	wg sync.WaitGroup
@@ -244,14 +248,10 @@ type pendingPayload struct {
 // the pre-handler backlog is being replayed keep queuing behind it, so the
 // per-sender FIFO guarantee holds across handler installation.
 func (t *Transport) SetHandler(h transport.Handler) {
-	t.mu.Lock()
-	t.handler = h
-	t.replay = true
-	t.mu.Unlock()
 	for {
 		t.mu.Lock()
 		if len(t.pending) == 0 {
-			t.replay = false
+			t.handler.Store(&h)
 			t.mu.Unlock()
 			return
 		}
@@ -518,15 +518,20 @@ func readFrames(r io.Reader, fn func(payload []byte)) error {
 }
 
 func (t *Transport) dispatch(from transport.ProcID, payload []byte) {
-	t.mu.Lock()
-	h := t.handler
-	if h == nil || t.replay {
-		t.pending = append(t.pending, pendingPayload{from: from, payload: payload})
+	h := t.handler.Load()
+	if h == nil {
+		t.mu.Lock()
+		// Re-read under mu: SetHandler publishes the handler under it, with
+		// the backlog empty, so a payload is either queued before the
+		// replay's last pass or handled after it.
+		if h = t.handler.Load(); h == nil {
+			t.pending = append(t.pending, pendingPayload{from: from, payload: payload})
+			t.mu.Unlock()
+			return
+		}
 		t.mu.Unlock()
-		return
 	}
-	t.mu.Unlock()
-	h(from, payload)
+	(*h)(from, payload)
 }
 
 // Close implements transport.Transport.
