@@ -17,7 +17,7 @@ func TestSubscribeMultipleSubscribers(t *testing.T) {
 	defer cancel()
 	a := c.Node(1).Session().Subscribe(ctx, 1)
 	b := c.Node(1).Session().Subscribe(ctx, 1)
-	if _, err := c.Node(0).Broadcast(ctx, []byte("fanout")); err != nil {
+	if _, err := c.Node(0).Session().Publish(ctx, []byte("fanout")); err != nil {
 		t.Fatal(err)
 	}
 	for _, stream := range []iter.Seq2[fsr.Offset, fsr.Message]{a, b} {
@@ -57,7 +57,7 @@ func TestSubscriberSeesEndOfBurst(t *testing.T) {
 	for i := range 200 {
 		var last *fsr.Receipt
 		for range 4 {
-			if last, err = c.Node(i%3).Broadcast(ctx, []byte("burst")); err != nil {
+			if last, err = c.Node(i%3).Session().Publish(ctx, []byte("burst")); err != nil {
 				t.Fatal(err)
 			}
 		}

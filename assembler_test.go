@@ -89,7 +89,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.T != 1 || c.MaxPendingOwn != 1024 {
+	if c.T != 1 || c.SnapshotEvery != 4096 {
 		t.Errorf("defaults: %+v", c)
 	}
 	if _, err := (Config{Self: 1, Members: []ProcID{1}, HeartbeatInterval: 50, FailureTimeout: 10}).withDefaults(); err == nil {

@@ -6,22 +6,19 @@
 //
 //	fsr-bench -exp all
 //	fsr-bench -exp figure8
-//	fsr-bench -exp all -json BENCH_$(date +%F).json
+//	fsr-bench -exp all -json paper-figures.json
 //	fsr-bench -exp figure7x -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Experiments: table1, figure6, figure7, figure7x, figure7tcp, figure7fan,
-// figure8, figure9, classes, tradeoff, latency, segsize, stall, all.
-// figure7x is the Figure 7 sweep on the modern testbed model (gigabit link,
-// hot-path costs measured against this repository's batched zero-alloc
-// stack); figure7tcp is its hardware counterpart — the real protocol stack
-// over loopback TCP sockets, including a remote client-session sender;
-// figure7fan measures subscriber fan-out scaling (aggregate delivery rate
-// vs subscriber count, member-direct vs through a read-only edge replica);
-// the others keep the paper calibration.
+// Experiments: table1, figure6, figure7, figure7x, figure8, figure9,
+// classes, tradeoff, latency, segsize, stall, all. figure7x is the Figure 7
+// sweep on the modern testbed model (gigabit link, hot-path costs measured
+// against this repository's batched zero-alloc stack); the others keep the
+// paper calibration. Everything here is simulated and deterministic; the
+// real protocol stack over real sockets is measured by benchmark/ (see
+// BENCHMARK.json and `bash benchmark/run.sh`).
 //
-// With -json the results are also written as a machine-readable document,
-// so successive runs (BENCH_<date>.json) accumulate the repository's
-// performance trajectory. -cpuprofile/-memprofile write pprof profiles of
+// With -json the results are also written as a machine-readable document.
+// -cpuprofile/-memprofile write pprof profiles of
 // the run (`go tool pprof <binary> cpu.pprof`) for hot-path work.
 package main
 
@@ -39,8 +36,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|figure6|figure7|figure7x|figure7tcp|figure7fan|figure8|figure9|classes|tradeoff|latency|segsize|stall|all)")
-	jsonOut := flag.String("json", "", `also write the results as JSON to this file (e.g. "BENCH_2026-07-27.json")`)
+	exp := flag.String("exp", "all", "experiment to run (table1|figure6|figure7|figure7x|figure8|figure9|classes|tradeoff|latency|segsize|stall|all)")
+	jsonOut := flag.String("json", "", `also write the results as JSON to this file (e.g. "paper-figures.json")`)
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	flag.Parse()
@@ -100,8 +97,6 @@ func run(exp, jsonOut string) error {
 		{"figure7x", func() (*metrics.Series, error) {
 			return bench.Figure7X([]float64{50, 100, 200, 300, 400, 500, 600, 700, 750, 800, 900})
 		}},
-		{"figure7tcp", func() (*metrics.Series, error) { return bench.Figure7TCP([]int{1, 2, 4}) }},
-		{"figure7fan", func() (*metrics.Series, error) { return bench.Figure7Fan([]int{1, 8, 32, 64}) }},
 		{"figure8", func() (*metrics.Series, error) { return bench.Figure8([]int{2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
 		{"figure9", func() (*metrics.Series, error) { return bench.Figure9([]int{1, 2, 3, 4, 5}) }},
 		{"classes", func() (*metrics.Series, error) { return bench.Classes(6, 3, 100) }},

@@ -147,13 +147,13 @@ func run(self fsr.ProcID, peersFlag string, tol int, send time.Duration, durable
 					return
 				case <-ticker.C:
 					payload := fmt.Sprintf("hello %d from node %d", i, self)
-					r, err := node.Broadcast(ctx, []byte(payload))
+					r, err := node.Session().Publish(ctx, []byte(payload))
 					if err != nil {
 						return
 					}
 					go func() {
 						if err := r.Wait(ctx); err == nil {
-							fmt.Printf("broadcast uniform at seq %d\n", r.Seq())
+							fmt.Printf("publish committed at seq %d\n", r.Seq())
 						}
 					}()
 				}

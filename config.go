@@ -31,30 +31,14 @@ type Config struct {
 	T int
 
 	// SegmentSize caps the application bytes one segment carries: a
-	// broadcast or client publish of up to SegmentSize bytes always rides
-	// the ring as exactly one segment. The ring envelope (13 bytes of
-	// client identity on a session publish, 1 byte on a member broadcast)
+	// publish of up to SegmentSize bytes always rides the ring as exactly
+	// one segment. The ring envelope (13 bytes of client identity on a
+	// remote session's publish, 1 byte on a member's own)
 	// is carried on top of the cap, so segments on the wire are at most
 	// SegmentSize+13 bytes. Larger payloads are split at that boundary, so
 	// uniform frame sizes keep large messages from stalling small ones
 	// (paper §4.1). Default core.DefaultSegmentSize (8 KiB).
 	SegmentSize int
-
-	// MaxPiggyback bounds acknowledgments piggybacked per frame
-	// (paper §4.2.2). Default core.DefaultMaxPiggyback.
-	MaxPiggyback int
-
-	// MaxFrameData bounds how many data segments one transport frame
-	// batches. Relayed traffic fills frames up to this bound (amortizing
-	// per-frame headers, syscalls and per-hop processing), while own
-	// broadcasts stay paced at one segment per frame so the paper's
-	// fairness rule keeps its guarantees. 1 restores the paper's strict
-	// one-segment-per-frame behavior. Default core.DefaultMaxFrameData.
-	MaxFrameData int
-
-	// MaxPendingOwn bounds own segments queued for initiation before
-	// Broadcast blocks (backpressure). Default 1024.
-	MaxPendingOwn int
 
 	// HeartbeatInterval is the failure-detector beat period. Default 50ms.
 	HeartbeatInterval time.Duration
@@ -114,12 +98,6 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// WithLogger returns a copy of c with the structured logger set.
-func (c Config) WithLogger(l *slog.Logger) Config {
-	c.Logger = l
-	return c
-}
-
 // WithDurableDir returns a copy of c with the durable directory set —
 // chainable sugar for building configs:
 //
@@ -136,7 +114,8 @@ func (c Config) WithStateMachine(sm StateMachine) Config {
 	return c
 }
 
-// ErrStopped is returned by Broadcast after Stop or eviction from the group.
+// ErrStopped is returned by Publish, and by the receipts of publishes still
+// in flight, after Stop, Close or eviction from the group.
 var ErrStopped = errors.New("fsr: node stopped")
 
 func (c Config) withDefaults() (Config, error) {
@@ -148,9 +127,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SegmentSize <= 0 {
 		c.SegmentSize = core.DefaultSegmentSize
-	}
-	if c.MaxPendingOwn <= 0 {
-		c.MaxPendingOwn = 1024
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 50 * time.Millisecond

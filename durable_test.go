@@ -154,7 +154,7 @@ func write(t *testing.T, node *fsr.Node, key, value string) *fsr.Receipt {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	r, err := node.Broadcast(ctx, payload)
+	r, err := node.Session().Publish(ctx, payload)
 	if err != nil {
 		t.Fatalf("broadcast from %d: %v", node.Self(), err)
 	}

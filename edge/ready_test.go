@@ -31,7 +31,7 @@ func TestEdgeReadyTransitions(t *testing.T) {
 	defer e.Stop()
 
 	// Traffic proves the tail is live; Ready follows as contact arrives.
-	if _, err := cluster.Node(0).Broadcast(context.Background(), []byte("x")); err != nil {
+	if _, err := cluster.Node(0).Session().Publish(context.Background(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

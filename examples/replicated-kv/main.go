@@ -158,7 +158,8 @@ func run() error {
 				return err
 			}
 			// A synchronous write: the receipt resolves once the op is
-			// uniformly stable, i.e. stored by leader + T backups.
+			// uniformly stable (stored by leader + T backups) and durable
+			// and applied at the publishing replica.
 			r, err := nodes[i%len(nodes)].Session().Publish(ctx, payload)
 			if err != nil {
 				return err
@@ -255,10 +256,10 @@ func run() error {
 			}
 			sawSnapshot, snapAt = true, off
 			replayed = restored.appliedCount()
-			continue
+		} else {
+			replayed++
 		}
-		replayed++
-		if replayed == 240 {
+		if replayed == 240 { // the snapshot alone may already cover them all
 			break
 		}
 	}

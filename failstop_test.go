@@ -39,7 +39,7 @@ func TestNodeFailStopIsTerminal(t *testing.T) {
 
 	// A broadcast that cannot complete (peer 1 runs no node), so its
 	// receipt is pending when the fatal error hits.
-	r, err := n.Broadcast(context.Background(), []byte("doomed"))
+	r, err := n.Session().Publish(context.Background(), []byte("doomed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestNodeFailStopIsTerminal(t *testing.T) {
 		t.Fatal("pending receipt resolved without error on fail-stop")
 	}
 	// ...and the node accepts no further work.
-	if _, err := n.Broadcast(context.Background(), []byte("late")); err != ErrStopped {
+	if _, err := n.Session().Publish(context.Background(), []byte("late")); err != ErrStopped {
 		t.Fatalf("Broadcast after fail-stop = %v, want ErrStopped", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestNodeSkipsForeignPayloads(t *testing.T) {
 	if got := n.Applied(); got != 0 {
 		t.Fatalf("foreign payloads advanced the order to %d", got)
 	}
-	if _, err := n.Broadcast(context.Background(), []byte("still alive")); err != nil {
+	if _, err := n.Session().Publish(context.Background(), []byte("still alive")); err != nil {
 		t.Fatalf("Broadcast refused after foreign payloads: %v", err)
 	}
 }

@@ -16,20 +16,22 @@
 //	cluster, _ := fsr.NewCluster(fsr.ClusterConfig{N: 5, T: 1}, fsr.MemTransport(nil))
 //	defer cluster.Stop()
 //
-//	r, _ := cluster.Node(0).Broadcast(ctx, []byte("hello"))
-//	<-r.Delivered() // uniform: survives any T crashes
+//	r, _ := cluster.Node(0).Session().Publish(ctx, []byte("hello"))
+//	<-r.Delivered() // committed: survives any T crashes, applied at node 0
 //	for off, msg := range cluster.Node(3).Session().Subscribe(ctx, 1) {
 //		... // same order at every node
 //	}
 //
-// # Consuming deliveries
+// # Publishing and consuming
 //
-// There is one way to consume the agreed order, on a member or remotely:
-// Session.Subscribe, an iterator over the committed log from any offset
-// (0 is the live tail). A Broadcast returns a *Receipt whose Delivered
-// channel closes only once the message is uniformly stable — the hook for
-// request/reply and synchronous writes. Node.Metrics reports protocol
-// counters, queue depths and a broadcast-latency summary.
+// There is one way to publish and one way to consume the agreed order, on
+// a member or remotely. Session.Publish returns a *Receipt whose Delivered
+// channel closes only once the message is committed — uniformly stable,
+// and durable and applied at the member that took it — the hook for
+// request/reply and synchronous writes. Session.Subscribe is an iterator
+// over the committed log from any offset (0 is the live tail). Node.Metrics
+// reports protocol counters, queue depths and the publish latency
+// histogram.
 //
 // # Sessions: using the order without joining the ring
 //

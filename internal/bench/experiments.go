@@ -176,7 +176,7 @@ func Figure7(offeredMbps []float64) (*metrics.Series, error) {
 // batched delivery) instead of the paper's 2006 Java/DREAM stack. On this
 // model the pre-overhaul stack still saturates at the paper's ~79 Mb/s —
 // its calibrated per-segment delivery cost, not the wire, is the ceiling,
-// which is exactly what BENCH_2026-07-27_pr3.json recorded — while the
+// which is what docs/bench-history/BENCH_2026-07-27_pr3.json recorded — while the
 // batched stack pushes the knee to where the receive path maxes out.
 func Figure7X(offeredMbps []float64) (*metrics.Series, error) {
 	s := &metrics.Series{Name: "Figure 7x: latency vs throughput, overhauled hot path (n=5, 1 Gb/s)",

@@ -62,7 +62,7 @@ func TestFigure7Knee(t *testing.T) {
 // TestFigure7XSaturation guards the overhaul's headline: on the modern
 // testbed model the batched zero-alloc stack must saturate at no less than
 // twice the pre-overhaul 79 Mb/s ceiling recorded in
-// BENCH_2026-07-27_pr3.json, with the same flat-then-blow-up shape.
+// docs/bench-history/BENCH_2026-07-27_pr3.json, with the same flat-then-blow-up shape.
 func TestFigure7XSaturation(t *testing.T) {
 	s, err := Figure7X([]float64{200, 800})
 	if err != nil {

@@ -1091,7 +1091,7 @@ func (r *runner) sender(sdr int) {
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		rcpt, err := node.Broadcast(ctx, payload)
+		rcpt, err := node.Session().Publish(ctx, payload)
 		cancel()
 		if err != nil {
 			// The home died mid-broadcast (ErrStopped) — legal under chaos;

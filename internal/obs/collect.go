@@ -44,7 +44,7 @@ func WriteNodeMetrics(w io.Writer, self uint32, m fsr.Metrics) error {
 	p.Gauge("fsr_relay_queue_depth", "Relay queue depth.", float64(m.RelayQueue), "node", node)
 	p.Gauge("fsr_own_queue_depth", "Own-message queue depth.", float64(m.OwnQueue), "node", node)
 	p.Gauge("fsr_ack_queue_depth", "Acknowledgment queue depth.", float64(m.AckQueue), "node", node)
-	p.Gauge("fsr_pending_receipts", "Own broadcasts accepted but not yet uniformly delivered.", float64(m.PendingReceipts), "node", node)
+	p.Gauge("fsr_pending_receipts", "In-process publishes accepted but not yet committed (durable and applied) at this member.", float64(m.PendingReceipts), "node", node)
 	p.Gauge("fsr_applied_seq", "Highest sequence number persisted and applied.", float64(m.Applied), "node", node)
 	p.GaugeBool("fsr_catching_up", "Whether the member is fetching missed history.", m.CatchingUp, "node", node)
 

@@ -306,7 +306,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 			defer wg.Done()
 			node := cluster.Node(i)
 			for j := 0; ctx.Err() == nil; j++ {
-				if _, err := node.Broadcast(ctx, fmt.Appendf(nil, "n%d-m%d", i, j)); err != nil {
+				if _, err := node.Session().Publish(ctx, fmt.Appendf(nil, "n%d-m%d", i, j)); err != nil {
 					return
 				}
 			}

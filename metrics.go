@@ -1,19 +1,6 @@
 package fsr
 
-import (
-	"time"
-
-	"fsr/internal/metrics"
-)
-
-// LatencySummary condenses a window of broadcast latencies — the time from
-// Broadcast acceptance to local uniform delivery, as observed through
-// receipts on this node's own messages.
-type LatencySummary struct {
-	Count          int
-	Min, Max, Mean time.Duration
-	P50, P95, P99  time.Duration
-}
+import "time"
 
 // Metrics is a point-in-time snapshot of one node's protocol activity,
 // taken coherently on the event loop. Counters are cumulative since the
@@ -44,7 +31,7 @@ type Metrics struct {
 	// carried only acknowledgments.
 	FairnessSkips, StandaloneAcks uint64
 	// MultiSegFrames counts outbound frames that batched more than one
-	// data segment (the hot-path batching introduced with MaxFrameData).
+	// data segment (relayed traffic batches, own sends stay one per frame).
 	MultiSegFrames uint64
 	// SkippedVersion counts inbound payloads dropped for an incompatible
 	// (different-major) wire protocol version; SkippedUnknown counts
@@ -56,11 +43,11 @@ type Metrics struct {
 	SkippedUnknown uint64
 
 	// RelayQueue, OwnQueue and AckQueue are the engine's current queue
-	// depths (load indicators; OwnQueue >= MaxPendingOwn means Broadcast
-	// is applying backpressure).
+	// depths (load indicators; OwnQueue at 1024 segments means the publish
+	// gate is shut: in-process publishers block, client publishes park).
 	RelayQueue, OwnQueue, AckQueue int
-	// PendingReceipts is the number of own broadcasts accepted but not yet
-	// uniformly delivered.
+	// PendingReceipts is the number of in-process publishes accepted but
+	// not yet committed (Node.Session receipts still unresolved).
 	PendingReceipts int
 
 	// Applied is the highest message sequence number persisted and folded
@@ -92,13 +79,10 @@ type Metrics struct {
 	EdgeClients    int
 	SessionBounded uint64
 
-	// BroadcastLatency summarizes the last broadcasts' acceptance-to-
-	// uniform-delivery latency on this node.
-	BroadcastLatency LatencySummary
-
-	// PublishLatency is the cumulative histogram of session Publish
-	// accept→PUBACK latency on this member — the client-facing commit
-	// latency, as opposed to BroadcastLatency's member-local view.
+	// PublishLatency is the cumulative histogram of Session.Publish
+	// accept→commit latency on this member: every publish it committed,
+	// from a remote client (acknowledged by PUBACK) or in process
+	// (acknowledged by its Receipt).
 	PublishLatency LatencyHistogram
 
 	// WAL is the storage layer's slice of the snapshot; zero when the node
@@ -166,16 +150,5 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 		if d <= le {
 			h.Buckets[i]++
 		}
-	}
-}
-
-// summarizeLatency converts an internal/metrics summary of the node's
-// latency window into the public shape.
-func summarizeLatency(samples []time.Duration) LatencySummary {
-	s := metrics.Summarize(samples)
-	return LatencySummary{
-		Count: s.Count,
-		Min:   s.Min, Max: s.Max, Mean: s.Mean,
-		P50: s.P50, P95: s.P95, P99: s.P99,
 	}
 }

@@ -1,7 +1,6 @@
 package fsr
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -29,10 +28,6 @@ type ViewInfo struct {
 	T int
 }
 
-// latencyWindow bounds how many broadcast-latency samples a node retains
-// for Metrics.BroadcastLatency.
-const latencyWindow = 1024
-
 // Catch-up transfer paging: one response carries at most this many
 // recovered messages / payload bytes, so serving a restarted peer never
 // monopolizes the event loop or produces an oversized transport frame.
@@ -50,6 +45,10 @@ const (
 // pathologically long change falls back to dropping (view-change recovery
 // then treats the overflow like any other in-flight loss).
 const maxParkedFrames = 8192
+
+// maxPendingOwn bounds own segments queued in the engine for initiation:
+// at the bound the publish gate closes (see canPublish).
+const maxPendingOwn = 1024
 
 // incarnationBits is the width of the per-incarnation MsgID band: each
 // restart of a durable node advances the origin-local counter to
@@ -119,13 +118,9 @@ type Node struct {
 	catching bool
 	catchBuf []catchItem
 
-	// Event-loop-owned state (no locking): receipts for own broadcasts,
-	// keyed by logical message ID, the latency sample window, and protocol
-	// frames parked during a view-change freeze (see handlePayload).
-	receipts map[uint64]pendingReceipt
-	latency  []time.Duration
-	latNext  int
-	parked   []*wire.Frame
+	// Event-loop-owned state (no locking): protocol frames parked during a
+	// view-change freeze (see handlePayload).
+	parked []*wire.Frame
 	// Wire-compat skip counters (see version.go's policy): payloads dropped
 	// for an incompatible protocol version, and payloads of a kind or
 	// control type this build does not know.
@@ -148,7 +143,6 @@ type Node struct {
 
 	mu       sync.Mutex
 	joined   bool
-	evicted  bool
 	err      error
 	lastView ViewInfo
 }
@@ -166,11 +160,6 @@ type bcastReq struct {
 type bcastResp struct {
 	receipt *Receipt
 	err     error
-}
-
-type pendingReceipt struct {
-	r         *Receipt
-	submitted time.Time
 }
 
 // catchItem is one piece of recovered history traveling from the event
@@ -277,8 +266,6 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	engine, err := core.NewEngine(core.Config{
 		Self:         cfg.Self,
 		SegmentSize:  cfg.SegmentSize + envClientHeader, // the envelope rides on top of the cap
-		MaxPiggyback: cfg.MaxPiggyback,
-		MaxFrameData: cfg.MaxFrameData,
 		StartDeliver: applied + 1,
 		StartLocal:   startLocal,
 	}, view)
@@ -304,7 +291,6 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		statsc:   make(chan chan Metrics),
 		stop:     make(chan struct{}),
 		views:    make(chan ViewInfo, 64),
-		receipts: make(map[uint64]pendingReceipt),
 		joined:   !cfg.Joiner,
 		lastView: viewInfo(view),
 	}
@@ -419,7 +405,7 @@ func (n *Node) Err() error {
 }
 
 // Metrics returns a coherent snapshot of the node's protocol counters,
-// queue depths and broadcast latency summary, taken on the event loop. A
+// queue depths and publish latency histogram, taken on the event loop. A
 // halted node returns the zero Metrics.
 func (n *Node) Metrics() Metrics {
 	req := make(chan Metrics, 1)
@@ -428,29 +414,6 @@ func (n *Node) Metrics() Metrics {
 		return <-req
 	case <-n.stop:
 		return Metrics{}
-	}
-}
-
-// Broadcast submits payload for uniform total order broadcast. It returns
-// once the protocol engine has accepted the message — not once delivered —
-// with a Receipt that resolves at local (hence uniform) delivery. Broadcast
-// blocks while the node's own-queue is at MaxPendingOwn (backpressure) and
-// honors ctx cancellation while blocked; ctx does not bound delivery (use
-// Receipt.Wait for that).
-func (n *Node) Broadcast(ctx context.Context, payload []byte) (*Receipt, error) {
-	req := bcastReq{payload: payload, resp: make(chan bcastResp, 1)}
-	select {
-	case n.bcast <- req:
-	case <-n.stop:
-		return nil, ErrStopped
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case resp := <-req.resp:
-		return resp.receipt, resp.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
 }
 
@@ -586,9 +549,9 @@ func (n *Node) halt() {
 }
 
 // fail records a fatal protocol error and halts the node (fail-stop): the
-// event loop exits, subscriptions end, pending receipts fail, and the error
-// surfaces via Err. Peers notice the resulting heartbeat silence and evict
-// this node through a view change.
+// event loop exits, subscriptions end, pending local publishes fail, and the
+// error surfaces via Err. Peers notice the resulting heartbeat silence and
+// evict this node through a view change.
 func (n *Node) fail(err error) {
 	n.mu.Lock()
 	first := n.err == nil
@@ -611,14 +574,10 @@ func (n *Node) fail(err error) {
 // broadcasts in a private total order. Fail-stop is the only behavior
 // that cannot silently diverge.
 func (n *Node) onEvicted() {
-	n.mu.Lock()
-	n.evicted = true
-	n.mu.Unlock()
 	n.log.Warn("node evicted", "epoch", n.CurrentView().ID)
-	// Own undelivered broadcasts left the group with us; they may or may
-	// not survive through other members' recovery state, so the receipts
-	// resolve with an error rather than hanging forever.
-	n.failReceipts(ErrStopped)
+	// Own uncommitted publishes left the group with us; they may or may
+	// not survive through other members' recovery state, so the halt fails
+	// their receipts (shutdown) rather than leaving them to hang forever.
 	n.halt()
 }
 
@@ -702,7 +661,7 @@ func (n *Node) stopping() bool {
 }
 
 // shutdown is the loop's single exit path: stop the engine, fail whatever
-// broadcasts cannot complete, and release the delivery pump. Session
+// local publishes have not committed, and release the delivery pump. Session
 // clients get a best-effort goodbye so they fail over immediately instead
 // of waiting out their timeouts.
 func (n *Node) shutdown() {
@@ -712,17 +671,8 @@ func (n *Node) shutdown() {
 	if err == nil {
 		err = ErrStopped
 	}
-	n.failReceipts(err)
+	n.sess.failLocal(err)
 	n.closeDeliveries()
-}
-
-// failReceipts resolves every outstanding receipt with err. Called from the
-// event loop (shutdown, eviction).
-func (n *Node) failReceipts(err error) {
-	for id, pr := range n.receipts {
-		pr.r.fail(err)
-		delete(n.receipts, id)
-	}
 }
 
 // loop is the single event-loop goroutine owning all protocol state.
@@ -766,22 +716,16 @@ func (n *Node) loop() {
 			continue
 		}
 
-		// Backpressure: stop accepting broadcasts while the own-queue is
-		// full, the node has not joined yet, a view change is in flight,
-		// or the node is still catching up on missed history. An evicted
-		// node keeps accepting so it can reject with an error instead of
-		// blocking during the brief window before its halt takes effect.
+		// Backpressure, the one thing the two kinds of publish do
+		// differently at the gate: a local publisher blocks (it has no
+		// retry, so its channel simply is not read while the gate is shut),
+		// whereas a client publish was parked or dropped on arrival and its
+		// retry is the backpressure. Parked ones go first when it opens.
 		bc := n.bcast
-		n.mu.Lock()
-		joined, evicted := n.joined, n.evicted
-		n.mu.Unlock()
-		if !evicted && (n.engine.PendingOwn() >= n.cfg.MaxPendingOwn || !joined ||
-			n.mgr.Changing() || n.catch != nil) {
-			bc = nil
-		} else if !evicted {
-			// The same gate just opened for client publishes parked under
-			// backpressure: broadcast them now.
+		if n.canPublish() {
 			n.drainClientPubs()
+		} else {
+			bc = nil
 		}
 
 		select {
@@ -793,18 +737,7 @@ func (n *Node) loop() {
 			n.handlePayload(in)
 
 		case req := <-bc:
-			if evicted {
-				req.resp <- bcastResp{err: ErrStopped}
-				break
-			}
-			first, err := n.engine.Broadcast(wrapRaw(req.payload))
-			if err != nil {
-				req.resp <- bcastResp{err: err}
-				break
-			}
-			r := newReceipt()
-			n.receipts[first.Local] = pendingReceipt{r: r, submitted: time.Now()}
-			req.resp <- bcastResp{receipt: r}
+			req.resp <- n.publishLocal(req.payload)
 
 		case contacts := <-n.joinc:
 			joinContacts = contacts
@@ -840,31 +773,30 @@ func (n *Node) snapshotMetrics() Metrics {
 	st := n.engine.Stats()
 	relay, own, acks := n.engine.QueueDepths()
 	m := Metrics{
-		View:             n.CurrentView(),
-		IsLeader:         n.engine.IsLeader(),
-		FramesIn:         st.FramesIn,
-		FramesOut:        st.FramesOut,
-		DataIn:           st.DataIn,
-		AcksIn:           st.AcksIn,
-		Sequenced:        st.Sequenced,
-		Delivered:        st.Delivered,
-		StaleFrames:      st.StaleFrames,
-		RelayedData:      st.RelayedData,
-		OwnSent:          st.OwnSent,
-		FairnessSkips:    st.FairnessSkips,
-		StandaloneAcks:   st.StandaloneAcks,
-		MultiSegFrames:   st.MultiSegFrames,
-		SkippedVersion:   n.skippedVersion,
-		SkippedUnknown:   n.skippedUnknown,
-		RelayQueue:       relay,
-		OwnQueue:         own,
-		AckQueue:         acks,
-		PendingReceipts:  len(n.receipts),
-		Applied:          n.Applied(),
-		CatchingUp:       n.catch != nil,
-		BroadcastLatency: summarizeLatency(n.latency),
+		View:           n.CurrentView(),
+		IsLeader:       n.engine.IsLeader(),
+		FramesIn:       st.FramesIn,
+		FramesOut:      st.FramesOut,
+		DataIn:         st.DataIn,
+		AcksIn:         st.AcksIn,
+		Sequenced:      st.Sequenced,
+		Delivered:      st.Delivered,
+		StaleFrames:    st.StaleFrames,
+		RelayedData:    st.RelayedData,
+		OwnSent:        st.OwnSent,
+		FairnessSkips:  st.FairnessSkips,
+		StandaloneAcks: st.StandaloneAcks,
+		MultiSegFrames: st.MultiSegFrames,
+		SkippedVersion: n.skippedVersion,
+		SkippedUnknown: n.skippedUnknown,
+		RelayQueue:     relay,
+		OwnQueue:       own,
+		AckQueue:       acks,
+		Applied:        n.Applied(),
+		CatchingUp:     n.catch != nil,
 	}
 	n.sess.mu.Lock()
+	m.PendingReceipts = n.sess.perClient[n.cfg.Self]
 	m.SessionPublishes = n.sess.pubsAccepted
 	m.SessionDuplicates = n.sess.dupsFiltered
 	m.SessionBounded = n.sess.pubsBounded
@@ -896,21 +828,10 @@ func (n *Node) snapshotMetrics() Metrics {
 	return m
 }
 
-// recordLatency folds one acceptance-to-delivery sample into the bounded
-// window. Event-loop context only.
-func (n *Node) recordLatency(d time.Duration) {
-	if len(n.latency) < latencyWindow {
-		n.latency = append(n.latency, d)
-		return
-	}
-	n.latency[n.latNext] = d
-	n.latNext = (n.latNext + 1) % latencyWindow
-}
-
 // sendReady flushes every frame the engine has ready — each one batching up
-// to MaxFrameData segments under the per-slot fairness rule — to the ring
-// successor in a single SendBatch (one vectored write on TCP), encoding
-// through pooled buffers. It reports whether any frame went out.
+// to core.DefaultMaxFrameData segments under the per-slot fairness rule — to
+// the ring successor in a single SendBatch (one vectored write on TCP),
+// encoding through pooled buffers. It reports whether any frame went out.
 func (n *Node) sendReady() bool {
 	if n.mgr.Changing() {
 		return false
@@ -1069,19 +990,16 @@ func (n *Node) handlePayload(in inboundPayload) {
 	}
 }
 
-// deliver moves fresh engine deliveries to the assembler queue and resolves
-// receipts for own messages that completed (local delivery of an own
-// message is, by the stability rule, uniform delivery). A message the
-// assembler cannot rebuild — its head predates this process's delivery
-// horizon — becomes a hole that a durable node repairs via catch-up before
-// anything later may be applied.
+// deliver moves fresh engine deliveries through the assembler into the
+// pump's queue. A message the assembler cannot rebuild — its head predates
+// this process's delivery horizon — becomes a hole that a durable node
+// repairs via catch-up before anything later may be applied.
 func (n *Node) deliver() {
 	n.delivBuf = n.engine.DrainDeliveries(n.delivBuf[:0])
 	ds := n.delivBuf
 	if len(ds) == 0 {
 		return
 	}
-	now := time.Now()
 	var dropSeq, horizonSeq uint64
 	applied := n.Applied()
 	n.outMu.Lock()
@@ -1097,13 +1015,6 @@ func (n *Node) deliver() {
 				}
 			}
 			continue
-		}
-		if msg.Origin == n.cfg.Self {
-			if pr, ok := n.receipts[msg.LogicalID]; ok {
-				delete(n.receipts, msg.LogicalID)
-				n.recordLatency(now.Sub(pr.submitted))
-				pr.r.resolve(msg.Seq)
-			}
 		}
 		n.outBuf = append(n.outBuf, msg)
 	}
@@ -1184,12 +1095,7 @@ func (n *Node) refreshCatchup(v core.View, sync *core.Sync, prevNext uint64) {
 		}
 		break
 	}
-	var peers []ProcID
-	for _, p := range v.Ring.Members() {
-		if p != n.cfg.Self {
-			peers = append(peers, p)
-		}
-	}
+	peers := n.catchupPeers(v)
 	if n.catch == nil {
 		if n.Applied() >= target {
 			return // the skipped range was already applied before the crash
@@ -1395,17 +1301,6 @@ func (n *Node) handleCatchupResp(from ProcID, resp *wire.CatchupResp) {
 		if e.Seq > c.after {
 			c.after = e.Seq
 		}
-		// An own broadcast can come back through recovery: it was
-		// sequenced and delivered by the group while this node lagged
-		// behind a view change, and a sync rebase kept its identity out of
-		// live re-dissemination here. Its uniform delivery is a fact —
-		// resolve the receipt (live deliveries resolve via deliver).
-		if e.Origin == n.cfg.Self {
-			if pr, ok := n.receipts[e.LogicalID]; ok {
-				delete(n.receipts, e.LogicalID)
-				pr.r.resolve(e.Seq)
-			}
-		}
 	}
 	if len(items) > 0 {
 		n.outMu.Lock()
@@ -1508,8 +1403,9 @@ func (n *Node) pumpReadyLocked() bool {
 // same applied prefix), append every surviving message to the WAL, fsync
 // once, fold into the state machine, commit the batch to the Log (which
 // moves the applied frontier and wakes subscribers), then acknowledge the
-// batch's client publishes, fan it out to attached subscribers and take a
-// snapshot if the cadence is due.
+// batch's publishes — a PUBACK to a client, the Receipt of a local one; the
+// only place either kind resolves — fan it out to attached subscribers and
+// take a snapshot if the cadence is due.
 //
 // Recovered history and live messages are merged by sequence number (both
 // streams arrive ascending), so the state machine always sees the total
@@ -1524,7 +1420,13 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 	snapJump := false // a snapshot transfer advanced the cursor past entries
 	apply := func(m Message, isLive bool) error {
 		if m.Seq <= cursor {
-			return nil // already recovered (replay / catch-up overlap)
+			// Already recovered (replay, catch-up overlap, or inside a
+			// transferred snapshot). A local publish is committed all the
+			// same, and this copy may be the only one the pump ever sees.
+			if m.Origin == n.cfg.Self {
+				acks = append(acks, pubAck{cid: m.Origin, pub: m.LogicalID, seq: m.Seq})
+			}
+			return nil
 		}
 		// Live messages carry the ring envelope; recovered history arrives
 		// in final form from a peer's (already filtered) log.
@@ -1614,10 +1516,11 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 		}
 	}
 	// Batch durable: make it visible (entries and frontier together, so no
-	// pager sees one without the other), then acknowledge the client
-	// publishes it committed — queued to the per-client writers, never
-	// blocking the pump — and fan it out to attached subscribers, one
-	// encode for all of them. A snapshot transfer has no entry stream for
+	// pager sees one without the other), then acknowledge the publishes it
+	// committed — PUBACKs queued to the per-client writers, never blocking
+	// the pump; a local Receipt resolved unless shutdown or eviction failed
+	// it first — and fan it out to attached subscribers, one encode for
+	// all of them. A snapshot transfer has no entry stream for
 	// the range it covers, so it first demotes every attached subscription
 	// to pager catch-up, which serves the snapshot.
 	n.clog.Commit(entries, cursor)
@@ -1625,7 +1528,11 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 	n.pumpBusy, n.recovering = false, false // applied now covers the batch
 	n.outMu.Unlock()
 	for _, a := range acks {
-		n.srv.Ack(a.cid, a.pub, a.seq)
+		if a.cid != n.cfg.Self {
+			n.srv.Ack(a.cid, a.pub, a.seq)
+		} else if r := n.sess.takeLocal(a.pub); r != nil {
+			r.resolve(a.seq)
+		}
 	}
 	if snapJump {
 		n.srv.DetachAll()

@@ -91,7 +91,7 @@ func TestClusterBasicBroadcast(t *testing.T) {
 	for i := range 5 {
 		for j := range per {
 			payload := []byte(fmt.Sprintf("n%d-m%d", i, j))
-			if _, err := c.Node(i).Broadcast(ctx, payload); err != nil {
+			if _, err := c.Node(i).Session().Publish(ctx, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func TestClusterLargeMessage(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	if _, err := c.Node(2).Broadcast(context.Background(), payload); err != nil {
+	if _, err := c.Node(2).Session().Publish(context.Background(), payload); err != nil {
 		t.Fatal(err)
 	}
 	for i := range 4 {
@@ -137,7 +137,7 @@ func TestClusterConcurrentBroadcasters(t *testing.T) {
 			node := c.Node(g % 3)
 			for j := range per {
 				payload := []byte(fmt.Sprintf("g%d-%d", g, j))
-				if _, err := node.Broadcast(ctx, payload); err != nil {
+				if _, err := node.Session().Publish(ctx, payload); err != nil {
 					t.Error(err)
 					return
 				}
@@ -153,7 +153,7 @@ func TestClusterConcurrentBroadcasters(t *testing.T) {
 
 func TestClusterSingleNode(t *testing.T) {
 	c := newCluster(t, 1, 0)
-	if _, err := c.Node(0).Broadcast(context.Background(), []byte("solo")); err != nil {
+	if _, err := c.Node(0).Session().Publish(context.Background(), []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
 	msgs := collect(t, c.Node(0), 1)
@@ -166,7 +166,7 @@ func TestBroadcastContextCancel(t *testing.T) {
 	c := newCluster(t, 2, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Node(0).Broadcast(ctx, []byte("x"))
+	_, err := c.Node(0).Session().Publish(ctx, []byte("x"))
 	if err == nil {
 		// Accepted before cancellation noticed — legal but unlikely; the
 		// canceled context must at least not wedge the node.
@@ -179,7 +179,7 @@ func TestBroadcastContextCancel(t *testing.T) {
 func TestBroadcastAfterStop(t *testing.T) {
 	c := newCluster(t, 2, 1)
 	c.Node(0).Stop()
-	_, err := c.Node(0).Broadcast(context.Background(), []byte("x"))
+	_, err := c.Node(0).Session().Publish(context.Background(), []byte("x"))
 	if err != fsr.ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -188,14 +188,14 @@ func TestBroadcastAfterStop(t *testing.T) {
 func TestCrashStandardMemberContinues(t *testing.T) {
 	c := newCluster(t, 5, 2)
 	ctx := context.Background()
-	if _, err := c.Node(0).Broadcast(ctx, []byte("before")); err != nil {
+	if _, err := c.Node(0).Session().Publish(ctx, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	c.Crash(4) // standard process
 	if _, ok := c.WaitView(0, 4, 10*time.Second); !ok {
 		t.Fatal("view excluding the crashed member never installed")
 	}
-	if _, err := c.Node(1).Broadcast(ctx, []byte("after")); err != nil {
+	if _, err := c.Node(1).Session().Publish(ctx, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	for i := range 4 {
@@ -211,7 +211,7 @@ func TestCrashLeaderContinues(t *testing.T) {
 	ctx := context.Background()
 	const preload = 20
 	for j := range preload {
-		if _, err := c.Node(3).Broadcast(ctx, []byte(fmt.Sprintf("pre%d", j))); err != nil {
+		if _, err := c.Node(3).Session().Publish(ctx, []byte(fmt.Sprintf("pre%d", j))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestCrashLeaderContinues(t *testing.T) {
 	if _, ok := c.WaitView(1, 4, 10*time.Second); !ok {
 		t.Fatal("post-crash view never installed")
 	}
-	if _, err := c.Node(2).Broadcast(ctx, []byte("post")); err != nil {
+	if _, err := c.Node(2).Session().Publish(ctx, []byte("post")); err != nil {
 		t.Fatal(err)
 	}
 	// Survivors agree on one order that contains all of node 3's preloaded
@@ -258,7 +258,7 @@ func TestGracefulLeave(t *testing.T) {
 	if _, ok := c.WaitView(0, 3, 10*time.Second); !ok {
 		t.Fatal("leave view never installed")
 	}
-	if _, err := c.Node(1).Broadcast(ctx, []byte("still going")); err != nil {
+	if _, err := c.Node(1).Session().Publish(ctx, []byte("still going")); err != nil {
 		t.Fatal(err)
 	}
 	for i := range 3 {
@@ -277,7 +277,7 @@ func TestDynamicJoin(t *testing.T) {
 	}
 	t.Cleanup(c.Stop)
 	ctx := context.Background()
-	if _, err := c.Node(0).Broadcast(ctx, []byte("old world")); err != nil {
+	if _, err := c.Node(0).Session().Publish(ctx, []byte("old world")); err != nil {
 		t.Fatal(err)
 	}
 	// Let every member deliver the pre-join message, so the join's flush
@@ -318,7 +318,7 @@ joined:
 	tailCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()
 	tail := joiner.Session().Subscribe(tailCtx, 0)
-	if _, err := joiner.Broadcast(ctx, []byte("new blood")); err != nil {
+	if _, err := joiner.Session().Publish(ctx, []byte("new blood")); err != nil {
 		t.Fatal(err)
 	}
 	msgs := take(t, joiner, tail, 1)

@@ -22,8 +22,10 @@ import (
 // --- Broadcast payload envelope ------------------------------------------
 //
 // Every payload handed to the protocol engine is enveloped with one byte of
-// provenance. Member broadcasts are envRaw (the byte plus the application
-// payload); client publishes are envClient and additionally carry the
+// provenance. A member's own publishes are envRaw (the byte plus the
+// application payload) and stay out of the dedup index: the engine's
+// identity-preserving rebroadcast already makes them exactly-once within an
+// incarnation. Client publishes are envClient and additionally carry the
 // client's ID and publish ID — the identity every member needs at apply
 // time to filter duplicate publishes out of the order deterministically.
 // The envelope exists only inside the ring: it is stripped before anything
@@ -237,8 +239,8 @@ const memberTailCap = 4096
 // --- Session serving ------------------------------------------------------
 
 const (
-	// maxParkedClientPubs bounds client publishes parked while the member
-	// cannot broadcast (joining, view change, catch-up, own-queue full).
+	// maxParkedClientPubs bounds client publishes parked while the publish
+	// gate is shut (see canPublish).
 	// Beyond it publishes are dropped; the client's ack-timeout retry is
 	// the backpressure.
 	maxParkedClientPubs = 8192
@@ -251,7 +253,8 @@ const (
 )
 
 // sessSrv is the member-specific half of session serving: the publish
-// dedup index and in-flight and parked publish tracking. The
+// dedup index, the table of publishes in flight — remote clients' and the
+// member's own alike — and the parked client publishes. The
 // protocol-facing half (clients, subscriptions, transmit queues, fan-out)
 // lives in Node.srv, the shared serving engine, reading Node.clog. The
 // index and counters are written by the delivery pump (apply time) and
@@ -261,8 +264,8 @@ type sessSrv struct {
 
 	mu        sync.Mutex
 	index     pubIndex
-	inflight  map[pubKey]time.Time // broadcast issued, not yet applied; value = accept time
-	perClient map[ProcID]int       // in-flight publish count per client
+	inflight  map[pubKey]inflightPub // accepted, not yet committed
+	perClient map[ProcID]int         // in-flight publish count per origin
 	parked    []parkedPub
 	// gates maps a client to the lowest pubID this member dropped while
 	// it remains uncommitted. Until that publish commits (possibly
@@ -279,15 +282,21 @@ type sessSrv struct {
 	pubsAccepted uint64 // client publishes committed through this member
 	dupsFiltered uint64 // duplicate publishes filtered at apply time
 	pubsBounded  uint64 // publishes dropped by the per-client bound
-	// pubLatency histograms the accept→PUBACK latency of publishes
-	// committed through this member — the client-facing commit latency
-	// (receipts only cover the member's own broadcasts).
+	// pubLatency histograms the accept→commit latency of every publish
+	// committed through this member, remote or local.
 	pubLatency LatencyHistogram
 }
 
+// pubKey identifies a publish in flight: a client's (ID, publish ID), or
+// for the member's own publishes (Self, the engine's local message ID).
 type pubKey struct {
 	cid ProcID
 	pub uint64
+}
+
+type inflightPub struct {
+	accepted time.Time
+	r        *Receipt // a local publish's receipt; nil for a remote client's
 }
 
 type parkedPub struct {
@@ -296,7 +305,9 @@ type parkedPub struct {
 	env []byte // the enveloped publish, ready for the engine
 }
 
-// pubAck is one acknowledgment owed after the current batch is durable.
+// pubAck is one acknowledgment owed after the current batch is durable: a
+// PUBACK to client cid, or — cid being this member — the receipt of local
+// publish pub.
 type pubAck struct {
 	cid ProcID
 	pub uint64
@@ -306,26 +317,26 @@ type pubAck struct {
 func newSessSrv(n *Node) *sessSrv {
 	return &sessSrv{
 		n:         n,
-		inflight:  make(map[pubKey]time.Time),
+		inflight:  make(map[pubKey]inflightPub),
 		perClient: make(map[ProcID]int),
 		gates:     make(map[ProcID]uint64),
 	}
 }
 
-// addInflight records a publish as in flight, stamping its accept time.
-// Callers hold s.mu.
-func (s *sessSrv) addInflight(key pubKey) {
-	s.inflight[key] = time.Now()
+// addInflight records a publish as in flight, stamping its accept time; r
+// is nil for a remote client's. Callers hold s.mu.
+func (s *sessSrv) addInflight(key pubKey, r *Receipt) {
+	s.inflight[key] = inflightPub{accepted: time.Now(), r: r}
 	s.perClient[key.cid]++
 }
 
-// removeInflight clears an in-flight record, returning its accept time so
-// the apply path can histogram accept→ack latency (drop and error paths
-// discard it). Callers hold s.mu.
-func (s *sessSrv) removeInflight(key pubKey) (time.Time, bool) {
-	accepted, ok := s.inflight[key]
+// removeInflight clears an in-flight record, returning it so the apply
+// path can histogram accept→ack latency (drop and error paths discard it).
+// Callers hold s.mu.
+func (s *sessSrv) removeInflight(key pubKey) (inflightPub, bool) {
+	p, ok := s.inflight[key]
 	if !ok {
-		return time.Time{}, false
+		return p, false
 	}
 	delete(s.inflight, key)
 	if n := s.perClient[key.cid] - 1; n > 0 {
@@ -333,7 +344,36 @@ func (s *sessSrv) removeInflight(key pubKey) (time.Time, bool) {
 	} else {
 		delete(s.perClient, key.cid)
 	}
-	return accepted, true
+	return p, true
+}
+
+// takeLocal removes committed local publish id from the in-flight table and
+// hands its receipt to the pump to resolve; nil means failLocal got there
+// first. Whoever removes the entry, under s.mu, settles the receipt: that
+// keeps resolve and fail exactly-once between the pump and the event loop.
+func (s *sessSrv) takeLocal(id uint64) *Receipt {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.removeInflight(pubKey{cid: s.n.cfg.Self, pub: id})
+	if !ok {
+		return nil
+	}
+	s.pubLatency.Observe(time.Since(p.accepted))
+	return p.r
+}
+
+// failLocal fails every local publish still in flight when the node halts
+// (stop, fail-stop, eviction): the only place a member fails a receipt.
+// Event loop.
+func (s *sessSrv) failLocal(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for key, p := range s.inflight {
+		if p.r != nil {
+			s.removeInflight(key)
+			p.r.fail(err)
+		}
+	}
 }
 
 // gateDrop arms (or lowers) cid's FIFO gate after dropping pubID
@@ -382,19 +422,24 @@ func (s *sessSrv) restoreIndex(data []byte) {
 // classify resolves one message about to be applied: the envelope is
 // opened, client publishes are checked against (and folded into) the
 // index, and the caller learns whether the message is a duplicate to be
-// filtered from the order. Pump goroutine (or NewNode, before sharing).
+// filtered from the order and which acknowledgment its commit owes. The
+// member's own publishes get one live and recovered alike: the group may
+// have delivered one while this member lagged behind a view change, and it
+// then comes back through catch-up. Pump goroutine.
 func (s *sessSrv) classify(m Message, enveloped bool) (final Message, dup bool, ack *pubAck) {
 	if !enveloped {
 		// Recovered history (catch-up) is already in final form and comes
 		// from a peer's filtered log; fold client identities into the
 		// index, and ack only a client actually waiting on this member
 		// (anyone else re-requests and gets the immediate index ack).
-		if m.Origin >= ClientIDBase {
+		if m.Origin == s.n.cfg.Self {
+			ack = &pubAck{cid: m.Origin, pub: m.LogicalID, seq: m.Seq}
+		} else if m.Origin >= ClientIDBase {
 			s.mu.Lock()
 			s.index.add(m.Origin, m.LogicalID, m.Seq)
 			key := pubKey{cid: m.Origin, pub: m.LogicalID}
-			if accepted, ok := s.removeInflight(key); ok {
-				s.pubLatency.Observe(time.Since(accepted))
+			if p, ok := s.removeInflight(key); ok {
+				s.pubLatency.Observe(time.Since(p.accepted))
 				ack = &pubAck{cid: m.Origin, pub: m.LogicalID, seq: m.Seq}
 			}
 			s.mu.Unlock()
@@ -404,20 +449,23 @@ func (s *sessSrv) classify(m Message, enveloped bool) (final Message, dup bool, 
 	inner, cid, pubID, isClient := openEnvelope(m.Payload)
 	if !isClient {
 		m.Payload = inner
-		return m, false, nil
+		if m.Origin == s.n.cfg.Self {
+			ack = &pubAck{cid: m.Origin, pub: m.LogicalID, seq: m.Seq}
+		}
+		return m, false, ack
 	}
 	key := pubKey{cid: cid, pub: pubID}
 	s.mu.Lock()
 	if seq, committed := s.index.committed(cid, pubID); committed {
-		if accepted, ok := s.removeInflight(key); ok {
-			s.pubLatency.Observe(time.Since(accepted))
+		if p, ok := s.removeInflight(key); ok {
+			s.pubLatency.Observe(time.Since(p.accepted))
 		}
 		s.dupsFiltered++
 		s.mu.Unlock()
 		return Message{Seq: m.Seq}, true, &pubAck{cid: cid, pub: pubID, seq: seq}
 	}
-	if accepted, ok := s.removeInflight(key); ok {
-		s.pubLatency.Observe(time.Since(accepted))
+	if p, ok := s.removeInflight(key); ok {
+		s.pubLatency.Observe(time.Since(p.accepted))
 	}
 	s.index.add(cid, pubID, m.Seq)
 	s.pubsAccepted++
@@ -450,14 +498,32 @@ func (n *Node) newServe() *serve.Server {
 	})
 }
 
-// clientPubBlocked reports whether the member can broadcast on behalf of a
-// client right now — mirroring Broadcast's backpressure gate. Event loop.
-func (n *Node) clientPubBlocked() bool {
+// canPublish is the publish gate, the one admission predicate for local and
+// client publishes alike: the engine takes a new message only while the
+// member is in an installed view, no view change or catch-up is in flight
+// and the own-queue has room. (Eviction halts the node before the loop
+// looks at the gate again, so it needs no term here.) Event loop.
+func (n *Node) canPublish() bool {
 	n.mu.Lock()
-	joined, evicted := n.joined, n.evicted
+	joined := n.joined
 	n.mu.Unlock()
-	return evicted || !joined || n.mgr.Changing() || n.catch != nil ||
-		n.engine.PendingOwn() >= n.cfg.MaxPendingOwn
+	return joined && !n.mgr.Changing() && n.catch == nil &&
+		n.engine.PendingOwn() < maxPendingOwn
+}
+
+// publishLocal hands one in-process publish to the engine and records it in
+// flight under (Self, its engine-local ID), for the pump to settle as it
+// settles a client's. Event loop, and only while canPublish holds.
+func (n *Node) publishLocal(payload []byte) bcastResp {
+	first, err := n.engine.Broadcast(wrapRaw(payload))
+	if err != nil {
+		return bcastResp{err: err}
+	}
+	r := newReceipt()
+	n.sess.mu.Lock()
+	n.sess.addInflight(pubKey{cid: n.cfg.Self, pub: first.Local}, r)
+	n.sess.mu.Unlock()
+	return bcastResp{receipt: r}
 }
 
 // handleClientPublish dedups one publish against the committed order and
@@ -466,7 +532,7 @@ func (n *Node) clientPubBlocked() bool {
 // hook.
 func (n *Node) handleClientPublish(from ProcID, p *wire.ClientPublish) {
 	s := n.sess
-	blocked := n.clientPubBlocked()
+	blocked := !n.canPublish()
 	s.mu.Lock()
 	if seq, ok := s.index.committed(from, p.PubID); ok {
 		s.mu.Unlock()
@@ -498,7 +564,7 @@ func (n *Node) handleClientPublish(from ProcID, p *wire.ClientPublish) {
 		s.mu.Unlock()
 		return
 	}
-	s.addInflight(key)
+	s.addInflight(key, nil)
 	env := sealClientPub(from, p)
 	// Queue behind the parked backlog even when broadcasting just
 	// unblocked: a publish parked during the blocked window must reach
@@ -536,7 +602,7 @@ func (n *Node) broadcastClientPub(cid ProcID, pubID uint64, env []byte) {
 func (n *Node) drainClientPubs() {
 	s := n.sess
 	for {
-		if n.clientPubBlocked() {
+		if !n.canPublish() {
 			return
 		}
 		s.mu.Lock()
@@ -555,16 +621,31 @@ func (n *Node) drainClientPubs() {
 
 // Session returns this member's in-process Session: the same interface a
 // remote client gets from client.Dial or Cluster.Dial, served without the
-// wire. Publish is Broadcast (member identity, member backpressure);
-// Subscribe streams the committed order from any offset out of the same
-// Log remote subscriptions are paged from. Sessions share the node —
-// closing one is a no-op; stopping the node ends them all.
+// wire. Publish carries the member's identity and blocks under the member's
+// backpressure; Subscribe streams the committed order from any offset out
+// of the same Log remote subscriptions are paged from. Sessions share the
+// node — closing one is a no-op; stopping the node ends them all.
 func (n *Node) Session() Session { return nodeSession{n: n} }
 
 type nodeSession struct{ n *Node }
 
+// Publish returns once the event loop has handed the message to the engine,
+// blocking — and honoring ctx — while the publish gate is shut (a remote
+// session blocks on its window instead). ctx does not bound the commit; use
+// Receipt.Wait for that. The receipt resolves where a remote publish is
+// acknowledged: durable at this member, applied, visible to subscribers.
 func (s nodeSession) Publish(ctx context.Context, payload []byte) (*Receipt, error) {
-	return s.n.Broadcast(ctx, payload)
+	n := s.n
+	req := bcastReq{payload: payload, resp: make(chan bcastResp, 1)}
+	select {
+	case n.bcast <- req:
+	case <-n.stop:
+		return nil, ErrStopped
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	resp := <-req.resp // the loop answers as soon as it has taken the request
+	return resp.receipt, resp.err
 }
 
 func (s nodeSession) Subscribe(ctx context.Context, from Offset) iter.Seq2[Offset, Message] {

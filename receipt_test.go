@@ -26,7 +26,7 @@ func waitReceipt(t *testing.T, r *fsr.Receipt, timeout time.Duration) {
 func TestReceiptDeliveredOnUniformity(t *testing.T) {
 	c := newCluster(t, 4, 1)
 	ctx := context.Background()
-	r, err := c.Node(2).Broadcast(ctx, []byte("durable"))
+	r, err := c.Node(2).Session().Publish(ctx, []byte("durable"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestReceiptAcrossLeaderCrash(t *testing.T) {
 	const inflight = 15
 	receipts := make([]*fsr.Receipt, inflight)
 	for i := range inflight {
-		r, err := c.Node(3).Broadcast(ctx, []byte(fmt.Sprintf("mid-%d", i)))
+		r, err := c.Node(3).Session().Publish(ctx, []byte(fmt.Sprintf("mid-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestReceiptFailsOnStop(t *testing.T) {
 	// Sever node 2's outbound links: its broadcast can never leave.
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
-	r, err := c.Node(2).Broadcast(context.Background(), []byte("stranded"))
+	r, err := c.Node(2).Session().Publish(context.Background(), []byte("stranded"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReceiptOriginCrashesPreSequencing(t *testing.T) {
 	// Stranded: nothing node 2 sends can leave it.
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
-	r, err := c.Node(2).Broadcast(context.Background(), []byte("unsequenced"))
+	r, err := c.Node(2).Session().Publish(context.Background(), []byte("unsequenced"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestReceiptOriginLeavesMidFlight(t *testing.T) {
 	const inflight = 10
 	receipts := make([]*fsr.Receipt, inflight)
 	for i := range inflight {
-		r, err := c.Node(3).Broadcast(ctx, []byte(fmt.Sprintf("leaving-%d", i)))
+		r, err := c.Node(3).Session().Publish(ctx, []byte(fmt.Sprintf("leaving-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestReceiptWaitAfterClusterStop(t *testing.T) {
 	// Strand node 2's broadcast so it cannot resolve by delivery first.
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
-	r, err := c.Node(2).Broadcast(context.Background(), []byte("orphaned"))
+	r, err := c.Node(2).Session().Publish(context.Background(), []byte("orphaned"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestReceiptWaitHonorsContext(t *testing.T) {
 	t.Cleanup(c.Stop)
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
-	r, err := c.Node(2).Broadcast(context.Background(), []byte("stuck"))
+	r, err := c.Node(2).Session().Publish(context.Background(), []byte("stuck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +265,14 @@ func TestReceiptWaitHonorsContext(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshot: counters move, roles are reported, and the latency
-// summary reflects resolved receipts.
+// TestMetricsSnapshot: counters move, roles are reported, and the publish
+// latency histogram reflects resolved receipts.
 func TestMetricsSnapshot(t *testing.T) {
 	c := newCluster(t, 3, 1)
 	ctx := context.Background()
 	const sends = 5
 	for i := range sends {
-		r, err := c.Node(1).Broadcast(ctx, []byte(fmt.Sprintf("m%d", i)))
+		r, err := c.Node(1).Session().Publish(ctx, []byte(fmt.Sprintf("m%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,8 +288,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	if follower.Delivered < sends {
 		t.Errorf("follower delivered %d < %d", follower.Delivered, sends)
 	}
-	if follower.BroadcastLatency.Count != sends {
-		t.Errorf("latency samples %d, want %d", follower.BroadcastLatency.Count, sends)
+	if follower.PublishLatency.Count != sends {
+		t.Errorf("latency samples %d, want %d", follower.PublishLatency.Count, sends)
 	}
 	if follower.PendingReceipts != 0 {
 		t.Errorf("pending receipts %d after all resolved", follower.PendingReceipts)

@@ -17,7 +17,7 @@ import (
 func TestRotateLeader(t *testing.T) {
 	c := newCluster(t, 4, 1)
 	ctx := context.Background()
-	if _, err := c.Node(1).Broadcast(ctx, []byte("before")); err != nil {
+	if _, err := c.Node(1).Session().Publish(ctx, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	c.Node(0).RotateLeader()
@@ -36,7 +36,7 @@ func TestRotateLeader(t *testing.T) {
 	if v.Members[3] != c.IDs()[0] {
 		t.Fatalf("old leader not at the tail: %v", v.Members)
 	}
-	if _, err := c.Node(3).Broadcast(ctx, []byte("after")); err != nil {
+	if _, err := c.Node(3).Session().Publish(ctx, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	for i := range 4 {
@@ -68,7 +68,7 @@ func TestRepeatedRotationRoundRobin(t *testing.T) {
 	for round := 1; round <= n; round++ {
 		// The current leader after `round-1` rotations.
 		leaderIdx := (round - 1) % n
-		if _, err := c.Node(leaderIdx).Broadcast(ctx, []byte(fmt.Sprintf("r%d", round))); err != nil {
+		if _, err := c.Node(leaderIdx).Session().Publish(ctx, []byte(fmt.Sprintf("r%d", round))); err != nil {
 			t.Fatal(err)
 		}
 		c.Node(leaderIdx).RotateLeader()
@@ -114,7 +114,7 @@ func TestRotateLeaderUnderLoad(t *testing.T) {
 			defer wg.Done()
 			node := c.Node(g % n)
 			for j := range per {
-				r, err := node.Broadcast(ctx, []byte(fmt.Sprintf("g%d-%d", g, j)))
+				r, err := node.Session().Publish(ctx, []byte(fmt.Sprintf("g%d-%d", g, j)))
 				if err != nil {
 					t.Errorf("sender %d broadcast %d: %v", g, j, err)
 					return
@@ -206,7 +206,7 @@ func TestBandwidthPacedNetwork(t *testing.T) {
 	ctx := context.Background()
 	const per = 15
 	for i := range per {
-		if _, err := c.Node(i%3).Broadcast(ctx, make([]byte, 2048+i)); err != nil {
+		if _, err := c.Node(i%3).Session().Publish(ctx, make([]byte, 2048+i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,11 +43,14 @@ type Session interface {
 	// session's in-flight window is full. The payload has been copied by
 	// then (the session's one copy of it, straight into the frame it
 	// sends): the caller may reuse the buffer as soon as Publish returns.
-	// The Receipt resolves when the message is committed: durable at the
-	// serving member and uniformly delivered, with Seq reporting its
-	// offset. Remote sessions deliver each accepted publish exactly once
-	// even across member crashes and redirects (client-assigned IDs make
-	// retries idempotent).
+	// The Receipt resolves when the message is committed — uniformly
+	// delivered, durable at the serving member and applied there — with
+	// Seq reporting its offset, so Seq() <= that member's Applied() and a
+	// subscription to it already sees the message. That holds for every
+	// Session alike: a member commits an in-process publish through the
+	// same pipeline, to the same point, as a remote one. Remote sessions
+	// deliver each accepted publish exactly once even across member
+	// crashes and redirects (client-assigned IDs make retries idempotent).
 	Publish(ctx context.Context, payload []byte) (*Receipt, error)
 
 	// Subscribe streams the committed order as (offset, message) pairs,
