@@ -7,8 +7,13 @@
 // per op — the types in this package. The cmd/fsr-admin CLI renders these
 // across a whole cluster; programs embed Client directly for the same data.
 //
-// Admin queries are answered on the node's event loop from already-snapshotted
-// state, so they are safe to run against a loaded cluster, and they work
+// The serving side is Responder, one implementation for both kinds of host:
+// it decodes, answers the wal and sessions ops and the readiness half of
+// status out of the host's serve.Log and serve.Server, asks the host for
+// what only it knows (its view; a member's snapshot, evict and join-hint
+// ops; an edge's refusal to cut a snapshot), marshals and replies. Admin
+// queries are answered on the node's event loop without taking the WAL's
+// lock, so they are safe to run against a loaded cluster, and they work
 // against any member or edge — including one that is catching up or read-only,
 // which is precisely when an operator wants to look.
 package admin

@@ -1,21 +1,24 @@
 package fsr_test
 
 import (
+	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
 	"fsr"
 	"fsr/admin"
+	"fsr/edge"
 	"fsr/internal/wire"
 	"fsr/transport"
 	"fsr/transport/mem"
 )
 
-// adminAsk sends one AdminReq to a process over a raw transport endpoint
-// and returns the decoded response body.
-func adminAsk(t *testing.T, ep transport.Transport, resp <-chan *wire.AdminResp,
-	to fsr.ProcID, req *wire.AdminReq, out any) {
+// adminSend sends one AdminReq to a process over a raw transport endpoint
+// and returns its response.
+func adminSend(t *testing.T, ep transport.Transport, resp <-chan *wire.AdminResp,
+	to fsr.ProcID, req *wire.AdminReq, within time.Duration) *wire.AdminResp {
 	t.Helper()
 	if err := ep.Send(to, wire.EncodeAdminReq(req)); err != nil {
 		t.Fatalf("admin send to %d: %v", to, err)
@@ -25,14 +28,226 @@ func adminAsk(t *testing.T, ep transport.Transport, resp <-chan *wire.AdminResp,
 		if p.Op != req.Op {
 			t.Fatalf("admin response op %d, want %d", p.Op, req.Op)
 		}
-		if p.Err != "" {
-			t.Fatalf("admin op %d refused: %s", req.Op, p.Err)
+		return p
+	case <-time.After(within):
+		t.Fatalf("admin op %d: no response from %d within %v", req.Op, to, within)
+		return nil
+	}
+}
+
+// adminAsk is adminSend for an op the process must accept: it decodes the
+// response body into out.
+func adminAsk(t *testing.T, ep transport.Transport, resp <-chan *wire.AdminResp,
+	to fsr.ProcID, req *wire.AdminReq, out any) {
+	t.Helper()
+	p := adminSend(t, ep, resp, to, req, 10*time.Second)
+	if p.Err != "" {
+		t.Fatalf("admin op %d refused: %s", req.Op, p.Err)
+	}
+	if err := json.Unmarshal(p.Body, out); err != nil {
+		t.Fatalf("admin op %d body: %v", req.Op, err)
+	}
+}
+
+// adminEndpoint joins the network as fsr-admin would dial in — a raw
+// endpoint in the client ID space — and returns it with the channel its
+// responses arrive on.
+func adminEndpoint(t *testing.T, network *mem.Network, id fsr.ProcID) (transport.Transport, <-chan *wire.AdminResp) {
+	t.Helper()
+	ep, err := network.Join(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+	resp := make(chan *wire.AdminResp, 4)
+	ep.SetHandler(func(from transport.ProcID, payload []byte) {
+		if v, err := wire.DecodeAdmin(payload); err == nil {
+			if p, ok := v.(*wire.AdminResp); ok {
+				p.Body = append([]byte(nil), p.Body...)
+				resp <- p
+			}
 		}
-		if err := json.Unmarshal(p.Body, out); err != nil {
-			t.Fatalf("admin op %d body: %v", req.Op, err)
+	})
+	return ep, resp
+}
+
+// TestAdminOpsMemberAndEdge asks a ring member, a durable edge and a
+// memory-only edge — all three answer through the one admin.Responder — for
+// every query op plus one nobody knows, and checks each field of each
+// schema against what the hosts report through their Go APIs.
+func TestAdminOpsMemberAndEdge(t *testing.T) {
+	network := mem.NewNetwork(mem.Options{})
+	cluster, err := fsr.NewCluster(fsr.ClusterConfig{N: 3, T: 1, NodeConfig: fastConfig()}.
+		WithDurableDir(t.TempDir()).
+		WithStateMachines(func(fsr.ProcID) fsr.StateMachine { return newKVSM() }),
+		fsr.MemTransport(network))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Stop)
+	member := cluster.Node(0)
+
+	// Everything below goes through member 0, so its session counters are
+	// the ones that move: two edges tailing it, one client publishing.
+	via := func(id fsr.ProcID, opts fsr.SessionOptions) fsr.Session {
+		t.Helper()
+		tr, err := network.Join(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("admin op %d: no response from %d", req.Op, to)
+		opts.OnClose = func() { _ = tr.Close() }
+		s, err := fsr.DialVia(tr, []fsr.ProcID{member.Self()}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	startEdge := func(id fsr.ProcID, dir string) *edge.Edge {
+		t.Helper()
+		tr, err := network.Join(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := edge.NewCore(edge.CoreConfig{
+			Transport:  tr,
+			Upstream:   via(id+1, fsr.SessionOptions{Edge: true}),
+			Members:    cluster.IDs(),
+			DurableDir: dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Stop)
+		return e
+	}
+	const durableEdgeID, memEdgeID = fsr.ClientIDBase + 0x100, fsr.ClientIDBase + 0x200
+	durableEdge := startEdge(durableEdgeID, t.TempDir())
+	memEdge := startEdge(memEdgeID, "")
+
+	const publishes = 5
+	pub := via(fsr.ClientIDBase+0x300, fsr.SessionOptions{})
+	defer pub.Close()
+	var last uint64
+	for i := range publishes {
+		r, err := pub.Publish(context.Background(), []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitReceipt(t, r, 20*time.Second)
+		last = r.Seq()
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for durableEdge.Applied() < last || memEdge.Applied() < last {
+		if time.Now().After(deadline) {
+			t.Fatalf("edges replicated to %d and %d, want %d", durableEdge.Applied(), memEdge.Applied(), last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	view := member.CurrentView()
+	var viewIDs []uint32
+	for _, id := range view.Members {
+		viewIDs = append(viewIDs, uint32(id))
+	}
+	var clusterIDs []uint32
+	for _, id := range cluster.IDs() {
+		clusterIDs = append(clusterIDs, uint32(id))
+	}
+	ep, resp := adminEndpoint(t, network, fsr.ClientIDBase+0x500)
+	for _, h := range []struct {
+		name     string
+		to       fsr.ProcID
+		isMember bool
+		durable  bool
+	}{
+		{"member", member.Self(), true, true},
+		{"durable edge", durableEdgeID, false, true},
+		{"memory edge", memEdgeID, false, false},
+	} {
+		t.Run(h.name, func(t *testing.T) {
+			var st admin.Status
+			adminAsk(t, ep, resp, h.to, &wire.AdminReq{Op: wire.AdminStatus}, &st)
+			want := admin.Status{Role: "edge", ID: uint32(h.to), Ready: true, TailConnected: true}
+			if h.isMember {
+				want = admin.Status{Role: "member", ID: uint32(h.to), Ready: true, Epoch: view.ID,
+					Leader: viewIDs[0], IsLeader: uint32(h.to) == viewIDs[0]}
+			}
+			if st.Applied < last {
+				t.Errorf("status applied %d, want >= %d", st.Applied, last)
+			}
+			if !h.isMember && st.TailLagMillis > 5000 {
+				t.Errorf("status tail lag %d ms on a healthy upstream", st.TailLagMillis)
+			}
+			st.Applied, st.TailLagMillis = 0, 0
+			if st != want {
+				t.Errorf("status = %+v, want %+v", st, want)
+			}
+
+			var ms admin.Members
+			adminAsk(t, ep, resp, h.to, &wire.AdminReq{Op: wire.AdminMembers}, &ms)
+			wantIDs, wantRest := clusterIDs, admin.Members{} // an edge knows who to redirect to, no view
+			if h.isMember {
+				wantIDs, wantRest = viewIDs, admin.Members{Epoch: view.ID, Leader: viewIDs[0], T: view.T}
+			}
+			if !slices.Equal(ms.IDs, wantIDs) {
+				t.Errorf("members ids = %v, want %v", ms.IDs, wantIDs)
+			}
+			if ms.Epoch != wantRest.Epoch || ms.Leader != wantRest.Leader || ms.T != wantRest.T {
+				t.Errorf("members = %+v, want %+v", ms, wantRest)
+			}
+
+			var w admin.WALInfo
+			adminAsk(t, ep, resp, h.to, &wire.AdminReq{Op: wire.AdminWAL}, &w)
+			if !h.durable {
+				if w != (admin.WALInfo{}) {
+					t.Errorf("wal on a host without a durable dir = %+v, want the zero value", w)
+				}
+			} else if !w.Durable || w.Segments < 1 || w.Bytes <= 0 || w.Appends < publishes ||
+				(h.isMember && w.Fsyncs < 1) || w.Repairs != 0 {
+				t.Errorf("wal = %+v after %d committed publishes", w, publishes)
+			}
+
+			var ss admin.Sessions
+			adminAsk(t, ep, resp, h.to, &wire.AdminReq{Op: wire.AdminSessions}, &ss)
+			if h.isMember {
+				// Two edges and nobody else subscribe, both on the shared tail.
+				if ss.Publishes != publishes || ss.Duplicates != 0 || ss.Bounded != 0 ||
+					ss.Subscribers != 2 || ss.EdgeClients != 2 || ss.TailAttached > 2 || ss.TailDetaches != 0 {
+					t.Errorf("sessions = %+v", ss)
+				}
+			} else if ss != (admin.Sessions{}) {
+				t.Errorf("sessions on an edge nobody subscribes to = %+v, want the zero value", ss)
+			}
+
+			var sn admin.SnapshotResult
+			adminAsk(t, ep, resp, h.to, &wire.AdminReq{Op: wire.AdminSnapshot}, &sn)
+			wantSnap := admin.SnapshotResult{Reason: "edges replicate snapshots from upstream"}
+			if h.isMember {
+				wantSnap = admin.SnapshotResult{Triggered: true}
+			}
+			if sn != wantSnap {
+				t.Errorf("snapshot = %+v, want %+v", sn, wantSnap)
+			}
+
+			const noSuchOp = 99
+			p := adminSend(t, ep, resp, h.to, &wire.AdminReq{Op: noSuchOp}, 10*time.Second)
+			if p.Err != "unknown admin op" || len(p.Body) != 0 {
+				t.Errorf("op %d answered err=%q body=%q", noSuchOp, p.Err, p.Body)
+			}
+		})
+	}
+	// The snapshot the member was asked for lands, and the wal op shows it.
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		var w admin.WALInfo
+		adminAsk(t, ep, resp, member.Self(), &wire.AdminReq{Op: wire.AdminWAL}, &w)
+		if w.Snapshots == 1 && w.SnapshotSeq >= last {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("triggered snapshot never showed in wal = %+v", w)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

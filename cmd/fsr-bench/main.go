@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"fsr/internal/bench"
-	"fsr/internal/metrics"
 )
 
 func main() {
@@ -78,34 +77,34 @@ func main() {
 
 // benchDoc is the on-disk shape of one benchmark run.
 type benchDoc struct {
-	Date        string            `json:"date"`
-	GoVersion   string            `json:"go_version"`
-	Experiments []*metrics.Series `json:"experiments"`
+	Date        string          `json:"date"`
+	GoVersion   string          `json:"go_version"`
+	Experiments []*bench.Series `json:"experiments"`
 }
 
 func run(exp, jsonOut string) error {
 	type experiment struct {
 		name string
-		fn   func() (*metrics.Series, error)
+		fn   func() (*bench.Series, error)
 	}
 	experiments := []experiment{
-		{"table1", func() (*metrics.Series, error) { return bench.Table1(), nil }},
-		{"figure6", func() (*metrics.Series, error) { return bench.Figure6([]int{2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
-		{"figure7", func() (*metrics.Series, error) {
+		{"table1", func() (*bench.Series, error) { return bench.Table1(), nil }},
+		{"figure6", func() (*bench.Series, error) { return bench.Figure6([]int{2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
+		{"figure7", func() (*bench.Series, error) {
 			return bench.Figure7([]float64{10, 20, 30, 40, 50, 60, 70, 75, 80, 90, 100})
 		}},
-		{"figure7x", func() (*metrics.Series, error) {
+		{"figure7x", func() (*bench.Series, error) {
 			return bench.Figure7X([]float64{50, 100, 200, 300, 400, 500, 600, 700, 750, 800, 900})
 		}},
-		{"figure8", func() (*metrics.Series, error) { return bench.Figure8([]int{2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
-		{"figure9", func() (*metrics.Series, error) { return bench.Figure9([]int{1, 2, 3, 4, 5}) }},
-		{"classes", func() (*metrics.Series, error) { return bench.Classes(6, 3, 100) }},
-		{"tradeoff", func() (*metrics.Series, error) { return bench.PrivilegeTradeoff(8, 150) }},
-		{"latency", func() (*metrics.Series, error) { return bench.LatencyFormula(8, 2) }},
-		{"segsize", func() (*metrics.Series, error) {
+		{"figure8", func() (*bench.Series, error) { return bench.Figure8([]int{2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
+		{"figure9", func() (*bench.Series, error) { return bench.Figure9([]int{1, 2, 3, 4, 5}) }},
+		{"classes", func() (*bench.Series, error) { return bench.Classes(6, 3, 100) }},
+		{"tradeoff", func() (*bench.Series, error) { return bench.PrivilegeTradeoff(8, 150) }},
+		{"latency", func() (*bench.Series, error) { return bench.LatencyFormula(8, 2) }},
+		{"segsize", func() (*bench.Series, error) {
 			return bench.AblationSegmentSize([]int{1024, 2048, 4096, 8192, 16384})
 		}},
-		{"stall", func() (*metrics.Series, error) { return bench.AblationSegmentationStall() }},
+		{"stall", func() (*bench.Series, error) { return bench.AblationSegmentationStall() }},
 	}
 	doc := benchDoc{
 		Date:      time.Now().UTC().Format(time.RFC3339),

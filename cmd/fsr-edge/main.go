@@ -33,14 +33,13 @@ func main() {
 	id := flag.Uint64("id", 0, "edge identity in the client ID space (0 = random)")
 	durable := flag.String("durable", "", "directory for the durable tail store (empty = in-memory)")
 	tailcap := flag.Int("tailcap", 0, "in-memory tail bound in entries (0 = default)")
-	stats := flag.Duration("stats", 0, "print serving stats this often (0 = silent)")
 	obsAddr := flag.String("obs", "", "HTTP address for /metrics, /healthz, /readyz (empty = off)")
 	maxlag := flag.Duration("maxlag", 0, "upstream lag bound for /readyz (0 = 5s default)")
 	logFmt := flag.String("log", "text", "structured log format to stderr: text, json or off")
 	flag.Parse()
-	logger, err := buildLogger(*logFmt)
+	logger, err := obs.NewLogger(*logFmt)
 	if err == nil {
-		err = run(*listen, *members, fsr.ProcID(*id), *durable, *tailcap, *stats, *obsAddr, *maxlag, logger)
+		err = run(*listen, *members, fsr.ProcID(*id), *durable, *tailcap, *obsAddr, *maxlag, logger)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fsr-edge: %v\n", err)
@@ -48,20 +47,7 @@ func main() {
 	}
 }
 
-func buildLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	case "off":
-		return slog.New(slog.DiscardHandler), nil
-	default:
-		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
-	}
-}
-
-func run(listen, members string, id fsr.ProcID, durable string, tailcap int, stats time.Duration, obsAddr string, maxlag time.Duration, logger *slog.Logger) error {
+func run(listen, members string, id fsr.ProcID, durable string, tailcap int, obsAddr string, maxlag time.Duration, logger *slog.Logger) error {
 	if members == "" {
 		return fmt.Errorf("-members is required")
 	}
@@ -101,21 +87,7 @@ func run(listen, members string, id fsr.ProcID, durable string, tailcap int, sta
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	var tick <-chan time.Time
-	if stats > 0 {
-		ticker := time.NewTicker(stats)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	for {
-		select {
-		case <-sig:
-			fmt.Println("shutting down")
-			return nil
-		case <-tick:
-			s := e.Stats()
-			fmt.Printf("applied=%d clients=%d subs=%d attached=%d tail_frames=%d detaches=%d not_writable=%d\n",
-				s.Applied, s.Clients, s.Subs, s.TailAttached, s.TailFrames, s.TailDetaches, s.NotWritable)
-		}
-	}
+	<-sig
+	fmt.Println("shutting down")
+	return nil
 }

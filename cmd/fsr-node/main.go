@@ -41,26 +41,13 @@ func main() {
 	join := flag.Bool("join", false, "start outside the group and join through the peers (use when restarting a member the group may have evicted)")
 	logFmt := flag.String("log", "text", "structured log format to stderr: text, json or off")
 	flag.Parse()
-	logger, err := buildLogger(*logFmt)
+	logger, err := obs.NewLogger(*logFmt)
 	if err == nil {
 		err = run(fsr.ProcID(*id), *peersFlag, *tol, *send, *durable, *obsAddr, *join, logger)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fsr-node: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-func buildLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	case "off":
-		return slog.New(slog.DiscardHandler), nil
-	default:
-		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"fsr"
+	"fsr/admin"
 	"fsr/client"
 	"fsr/internal/serve"
 	"fsr/internal/wal"
@@ -44,8 +45,9 @@ import (
 	"fsr/transport/tcp"
 )
 
-// syncEvery is how often the durable store flushes appended entries. An
-// edge may lose this window on a crash; it refetches from upstream.
+// syncEvery is how often a durable edge syncs its log. A member syncs each
+// batch before committing it, because it acknowledges what it commits; an
+// edge acknowledges nothing, and refetches a window a crash loses.
 const syncEvery = 200 * time.Millisecond
 
 // CoreConfig parameterizes NewCore, the transport-agnostic edge.
@@ -79,24 +81,12 @@ type CoreConfig struct {
 	Logger *slog.Logger
 }
 
-// Stats is a point-in-time census of one edge replica.
-type Stats struct {
-	// Applied is the highest offset replicated from upstream.
-	Applied uint64
-	// Clients, Subs and TailAttached mirror the serving layer: live
-	// links, live subscriptions, and subscriptions on the shared tail.
-	Clients, Subs, TailAttached int
-	// TailFrames counts encode-once fan-out frames; TailDetaches slow
-	// subscribers demoted to catch-up paging; NotWritable publishes
-	// bounced to the members.
-	TailFrames, TailDetaches, NotWritable uint64
-}
-
-// Edge is one running edge replica.
+// Edge is one running edge replica: the apply pump and serve.Log of a
+// member, fed by an upstream subscription instead of a ring.
 type Edge struct {
 	cfg    CoreConfig
 	log    *slog.Logger
-	store  *store
+	clog   *serve.Log // the replica: a bounded tail in memory, or the WAL in DurableDir
 	srv    *serve.Server
 	addr   string // serving address, when TCP-backed
 	cancel context.CancelFunc
@@ -123,24 +113,29 @@ func newCore(cfg CoreConfig, fs wal.FS) (*Edge, error) {
 		log = slog.New(slog.DiscardHandler)
 	}
 	log = log.With("edge", uint32(cfg.Transport.Self()))
-	st, err := openStore(cfg.DurableDir, cfg.TailCap, fs, log)
-	if err != nil {
-		return nil, err
+	clog := serve.NewRingLog(cfg.TailCap, nil)
+	if cfg.DurableDir != "" {
+		w, err := wal.Open(cfg.DurableDir, wal.Options{FS: fs, Logger: log})
+		if err != nil {
+			return nil, fmt.Errorf("edge: open store: %w", err)
+		}
+		clog = serve.NewWALLog(w, w.LastSeq(), nil)
 	}
-	e := &Edge{cfg: cfg, log: log, store: st}
+	e := &Edge{cfg: cfg, log: log, clog: clog}
 	e.srv = serve.New(serve.Config{
 		Transport: cfg.Transport,
-		Source:    st.log,
+		Source:    clog,
 		Publish:   nil, // read-only: publishes answer NOT-WRITABLE
 		Redirect: func() ([]fsr.ProcID, []string, uint64) {
-			return cfg.Members, cfg.MemberAddrs, st.log.Applied()
+			return cfg.Members, cfg.MemberAddrs, clog.Applied()
 		},
 		QueueCap: cfg.QueueCap,
 		Logger:   log,
 	})
+	adm := e.newAdmin()
 	cfg.Transport.SetHandler(func(from transport.ProcID, payload []byte) {
 		if len(payload) > 0 && payload[0] == wire.KindAdmin {
-			e.handleAdmin(from, payload)
+			adm.Handle(from, payload)
 			return
 		}
 		e.srv.Handle(from, payload)
@@ -149,11 +144,47 @@ func newCore(cfg CoreConfig, fs wal.FS) (*Edge, error) {
 	e.cancel = cancel
 	e.wg.Add(1)
 	go e.tailLoop(ctx)
-	if st.wal != nil {
+	if cfg.DurableDir != "" {
 		e.wg.Add(1)
 		go e.syncLoop(ctx)
 	}
 	return e, nil
+}
+
+// newAdmin builds the edge's admin responder. Edges answer the op
+// vocabulary members do — an operator sweeping a mixed address list gets a
+// uniform view — with edge semantics: the view ops report what the replica
+// knows, and snapshot triggers are refused (an edge's snapshot arrives
+// from upstream, it is never cut locally).
+func (e *Edge) newAdmin() *admin.Responder {
+	return &admin.Responder{
+		Transport: e.cfg.Transport,
+		Log:       e.clog,
+		Server:    e.srv,
+		Ready:     func() error { return e.Ready(0) },
+		Role:      "edge",
+		Status: func(s *admin.Status) {
+			if t, ok := e.upstreamContact(); ok {
+				s.TailConnected = true
+				s.TailLagMillis = time.Since(t).Milliseconds()
+			}
+		},
+		Members: func() admin.Members {
+			// An edge has no installed view; it knows the member IDs it was
+			// configured to redirect publishers to.
+			m := admin.Members{}
+			for _, id := range e.cfg.Members {
+				m.IDs = append(m.IDs, uint32(id))
+			}
+			return m
+		},
+		Op: func(req *wire.AdminReq) any {
+			if req.Op != wire.AdminSnapshot {
+				return nil
+			}
+			return &admin.SnapshotResult{Reason: "edges replicate snapshots from upstream"}
+		},
+	}
 }
 
 // Config parameterizes New, the TCP edge replica.
@@ -229,21 +260,7 @@ func (e *Edge) Addr() string { return e.addr }
 func (e *Edge) ID() fsr.ProcID { return fsr.ProcID(e.cfg.Transport.Self()) }
 
 // Applied returns the highest offset replicated from upstream.
-func (e *Edge) Applied() uint64 { return e.store.log.Applied() }
-
-// Stats snapshots the edge's serving activity.
-func (e *Edge) Stats() Stats {
-	s := e.srv.Stats()
-	return Stats{
-		Applied:      e.store.log.Applied(),
-		Clients:      s.Clients,
-		Subs:         s.Subs,
-		TailAttached: s.TailAttached,
-		TailFrames:   s.TailFrames,
-		TailDetaches: s.TailDetaches,
-		NotWritable:  s.NotWritable,
-	}
-}
+func (e *Edge) Applied() uint64 { return e.clog.Applied() }
 
 // Metrics is the edge-side parity of fsr.Metrics: replication position,
 // what the store holds, upstream-tail health and the serving census.
@@ -286,9 +303,9 @@ func (e *Edge) upstreamContact() (time.Time, bool) {
 // Metrics snapshots the edge for export.
 func (e *Edge) Metrics() Metrics {
 	s := e.srv.Stats()
-	base, entries, snapSeq := e.store.log.Held()
+	base, entries, snapSeq := e.clog.Held()
 	m := Metrics{
-		Applied:      e.store.log.Applied(),
+		Applied:      e.clog.Applied(),
 		StoreBase:    base,
 		StoreEntries: entries,
 		SnapshotSeq:  snapSeq,
@@ -303,21 +320,8 @@ func (e *Edge) Metrics() Metrics {
 		m.TailConnected = true
 		m.TailLag = time.Since(t)
 	}
-	if ws, ok := e.store.walStats(); ok {
-		m.WAL = fsr.WALMetrics{
-			Segments:    ws.Segments,
-			Bytes:       ws.Bytes,
-			Appends:     ws.Appends,
-			Fsyncs:      ws.Fsyncs,
-			Rotations:   ws.Rotations,
-			Snapshots:   ws.Snapshots,
-			SnapshotSeq: ws.SnapshotSeq,
-			Repairs:     ws.Repairs,
-			Poisoned:    ws.Poisoned,
-		}
-		if !ws.SnapshotTime.IsZero() {
-			m.WAL.SnapshotAge = time.Since(ws.SnapshotTime)
-		}
+	if ws, ok := e.clog.WALStats(); ok {
+		m.WAL = fsr.WALMetrics(ws)
 	}
 	return m
 }
@@ -341,10 +345,7 @@ func (e *Edge) Ready(maxLag time.Duration) error {
 	if lag := time.Since(t); lag > maxLag {
 		return fmt.Errorf("edge: upstream tail lagging %v (bound %v)", lag.Round(time.Millisecond), maxLag)
 	}
-	if err := e.store.writable(); err != nil {
-		return err
-	}
-	return nil
+	return e.clog.Writable()
 }
 
 // tailLoop replicates the committed order from upstream, forever: each
@@ -359,10 +360,10 @@ func (e *Edge) Ready(maxLag time.Duration) error {
 func (e *Edge) tailLoop(ctx context.Context) {
 	defer e.wg.Done()
 	for ctx.Err() == nil {
-		from := e.store.log.Applied() + 1
+		from := e.clog.Applied() + 1
 		for _, m := range e.cfg.Upstream.Subscribe(ctx, from) {
 			if err := e.replicate(m); err != nil {
-				e.log.Error("edge store failed; serving stopped", "applied", e.store.log.Applied(), "err", err)
+				e.log.Error("edge store failed; serving stopped", "applied", e.clog.Applied(), "err", err)
 				e.srv.NotifyAll(wire.RedirectBye)
 				e.srv.Shutdown()
 				return
@@ -370,19 +371,25 @@ func (e *Edge) tailLoop(ctx context.Context) {
 		}
 		if ctx.Err() == nil {
 			e.log.Warn("upstream tail interrupted; re-subscribing",
-				"applied", e.store.log.Applied(), "err", e.cfg.Upstream.Err())
+				"applied", e.clog.Applied(), "err", e.cfg.Upstream.Err())
 			time.Sleep(50 * time.Millisecond) // upstream hiccup; re-subscribe
 		}
 	}
 }
 
-// replicate folds one upstream message into the store and, if it extended
-// the replica, publishes it to the local shared tail.
+// replicate folds one upstream message into the replica — a member's
+// applyBatch for a batch of one, minus the sync (see syncEvery) — and
+// publishes it to the local shared tail. Stale duplicates (an upstream
+// re-subscribe) are skipped; a write error leaves the frontier in place.
 func (e *Edge) replicate(m fsr.Message) error {
+	if m.Seq <= e.clog.Applied() {
+		return nil
+	}
 	if m.Snapshot {
-		if err := e.store.setSnapshot(m.Seq, m.Payload); err != nil {
+		if err := e.clog.InstallSnapshot(m.Seq, m.Payload); err != nil {
 			return err
 		}
+		e.clog.Commit(nil, m.Seq)
 		// State transfer: the prefix has no entry stream, so locally
 		// attached subscribers must page across the jump.
 		e.srv.DetachAll()
@@ -394,14 +401,16 @@ func (e *Edge) replicate(m fsr.Message) error {
 		Logical: m.LogicalID,
 		Payload: m.Payload,
 	}
-	advanced, err := e.store.append(e.scratch[0])
-	if advanced {
-		e.srv.PublishTail(e.scratch[:])
+	if err := e.clog.Append(e.scratch[0]); err != nil {
+		return err
 	}
-	return err
+	e.clog.Commit(e.scratch[:], m.Seq)
+	e.srv.PublishTail(e.scratch[:])
+	return nil
 }
 
-// syncLoop periodically flushes the durable store.
+// syncLoop periodically syncs the durable replica. A failure poisons the
+// WAL; the next append reports it.
 func (e *Edge) syncLoop(ctx context.Context) {
 	defer e.wg.Done()
 	ticker := time.NewTicker(syncEvery)
@@ -411,7 +420,7 @@ func (e *Edge) syncLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			e.store.sync()
+			_ = e.clog.Sync()
 		}
 	}
 }
@@ -427,5 +436,5 @@ func (e *Edge) Stop() {
 	e.srv.Shutdown()
 	_ = e.cfg.Transport.Close()
 	e.srv.Wait()
-	e.store.close()
+	_ = e.clog.Close() // syncs first
 }

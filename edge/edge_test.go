@@ -1,8 +1,11 @@
 package edge_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,7 +177,7 @@ func TestEdgeServesSubscribers(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.TailFrames == 0 {
+	if st := e.Metrics(); st.TailFrames == 0 {
 		t.Fatalf("edge never used the shared tail: %+v", st)
 	}
 	if m := e.Metrics(); m.StoreEntries != history+10 || m.StoreBase != 0 {
@@ -212,7 +215,7 @@ func TestEdgePublishRedirectsToMembers(t *testing.T) {
 	if r.Seq() != 1 {
 		t.Fatalf("publish committed at %d, want 1", r.Seq())
 	}
-	if st := e.Stats(); st.NotWritable == 0 {
+	if st := e.Metrics(); st.NotWritable == 0 {
 		t.Fatalf("edge accepted a publish: %+v", st)
 	}
 	// Exactly once despite the migration: offset 1 is the only committed
@@ -277,5 +280,137 @@ func TestEdgeDurableRestart(t *testing.T) {
 	if m := e2.Metrics(); m.StoreEntries != 0 || m.WAL.Appends != 10 {
 		t.Fatalf("durable edge holds %d entries in memory and appended %d after restart, want 0 and the 10 it missed",
 			m.StoreEntries, m.WAL.Appends)
+	}
+}
+
+// linesSM is a state machine whose state is every payload applied so far,
+// one per line.
+type linesSM struct {
+	mu    sync.Mutex
+	lines []byte
+}
+
+func (s *linesSM) Apply(m fsr.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lines = append(append(s.lines, m.Payload...), '\n')
+}
+
+func (s *linesSM) Snapshot() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return bytes.Clone(s.lines), nil
+}
+
+func (s *linesSM) Restore(data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lines = bytes.Clone(data)
+	return nil
+}
+
+// TestEdgeReplicatesAcrossSnapshot: an edge that starts tailing below the
+// members' WAL truncation point receives a state transfer, installs it as
+// its snapshot floor and commits the frontier to it; its own subscribers,
+// asking from offset 1, get that application snapshot once and then every
+// later entry exactly once, in order, through to the live tail — from the
+// ring and from the WAL alike.
+func TestEdgeReplicatesAcrossSnapshot(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			net := mem.NewNetwork(mem.Options{})
+			cfg := fsr.ClusterConfig{N: 3, T: 1}.WithDurableDir(t.TempDir()).
+				WithStateMachines(func(fsr.ProcID) fsr.StateMachine { return &linesSM{} })
+			cfg.NodeConfig.SnapshotEvery = 16
+			cfg.NodeConfig.WALSegmentBytes = 512
+			cluster, err := fsr.NewCluster(cfg, fsr.MemTransport(net))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Stop()
+			pub, err := cluster.Dial(fsr.SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pub.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			next := 0
+			publish := func(n int) {
+				t.Helper()
+				for ; n > 0; n-- {
+					r, err := pub.Publish(ctx, fmt.Appendf(nil, "t%03d", next))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := r.Wait(ctx); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+			}
+			// Every member snapshots at the end of the history, so the transfer
+			// is all the edge receives: only committing the frontier to it gets
+			// the edge to history.
+			const history, live = 100, 10
+			publish(history)
+			for i := 0; i < 3; i++ {
+				if !cluster.Node(i).TriggerSnapshot() {
+					t.Fatalf("member %d refused a snapshot", i)
+				}
+				for deadline := time.Now().Add(15 * time.Second); cluster.Node(i).Metrics().WAL.SnapshotSeq != history; {
+					if time.Now().After(deadline) {
+						t.Fatalf("member %d never snapshotted at %d", i, history)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+
+			dir := ""
+			if durable {
+				dir = t.TempDir()
+			}
+			e := startEdge(t, net, cluster, edgeServeID, dir)
+			defer e.Stop()
+			waitApplied(t, e, history)
+			m := e.Metrics()
+			if m.SnapshotSeq != history || m.StoreBase != history {
+				t.Fatalf("edge's snapshot floor: base %d, snapshot %d; want %d", m.StoreBase, m.SnapshotSeq, history)
+			}
+
+			sub := dialThrough(t, net, fsr.ClientIDBase+0x200000, []fsr.ProcID{edgeServeID})
+			defer sub.Close()
+			var got []string
+			snaps := 0
+			published := false
+			for off, msg := range sub.Subscribe(ctx, 1) {
+				if msg.Snapshot {
+					if snaps++; snaps > 1 || len(got) > 0 {
+						t.Fatalf("snapshot at offset %d after %d entries (snapshot number %d)", off, len(got), snaps)
+					}
+					if off != m.SnapshotSeq {
+						t.Fatalf("snapshot covers offset %d, the edge installed %d", off, m.SnapshotSeq)
+					}
+					got = strings.Split(strings.TrimSuffix(string(msg.Payload), "\n"), "\n")
+				} else {
+					got = append(got, string(msg.Payload))
+				}
+				if len(got) == history && !published {
+					published = true
+					publish(live) // rides the edge's shared tail
+				}
+				if len(got) == history+live {
+					break
+				}
+			}
+			if snaps != 1 || len(got) != history+live {
+				t.Fatalf("%d snapshots and %d messages, want 1 and %d (session err: %v)", snaps, len(got), history+live, sub.Err())
+			}
+			for i, p := range got {
+				if want := fmt.Sprintf("t%03d", i); p != want {
+					t.Fatalf("position %d: got %q, want %q", i, p, want)
+				}
+			}
+		})
 	}
 }

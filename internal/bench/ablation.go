@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fsr/internal/core"
-	"fsr/internal/metrics"
 	"fsr/internal/netsim"
 	"fsr/internal/wire"
 )
@@ -19,8 +18,8 @@ import (
 // segment size: small segments waste per-frame fixed costs, large segments
 // amortize them — the upward curve that motivates sizable (but uniform)
 // segments.
-func AblationSegmentSize(sizes []int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Ablation: saturated throughput vs segment size (n=5)",
+func AblationSegmentSize(sizes []int) (*Series, error) {
+	s := &Series{Name: "Ablation: saturated throughput vs segment size (n=5)",
 		XLabel: "segment (bytes)", YLabel: "throughput (Mb/s)"}
 	for _, size := range sizes {
 		c, err := netsim.NewCluster(5, netsim.Config{T: 1, SegmentSize: size})
@@ -51,8 +50,8 @@ func AblationSegmentSize(sizes []int) (*metrics.Series, error) {
 // messages. With uniform 8 KiB segments the small messages interleave into
 // the ring and keep a low latency; without segmentation (segment size >=
 // message size) each giant frame stalls everything behind it.
-func AblationSegmentationStall() (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Ablation: small-message latency vs segmentation (n=5)",
+func AblationSegmentationStall() (*Series, error) {
+	s := &Series{Name: "Ablation: small-message latency vs segmentation (n=5)",
 		XLabel: "segment (bytes)", YLabel: "small-msg latency (ms)"}
 	const big = 1 << 20
 	for _, segSize := range []int{core.DefaultSegmentSize, big} {
@@ -136,5 +135,5 @@ func smallMessageLatencyUnderBulk(segSize, bulkSize int) (time.Duration, error) 
 	if len(latencies) == 0 {
 		return 0, fmt.Errorf("bench: no small messages completed (segSize=%d)", segSize)
 	}
-	return metrics.Summarize(latencies).Mean, nil
+	return Summarize(latencies).Mean, nil
 }

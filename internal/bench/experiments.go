@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Section 5) plus the Section 2 protocol-class comparison, on
 // the simulated cluster (internal/netsim) and the round model
-// (internal/model). Each experiment returns a metrics.Series whose rows
+// (internal/model). Each experiment returns a Series whose rows
 // correspond to the points the paper plots; the README's Performance
 // section records the side-by-side numbers.
 package bench
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fsr/internal/core"
-	"fsr/internal/metrics"
 	"fsr/internal/model"
 	"fsr/internal/netsim"
 	"fsr/internal/wire"
@@ -24,8 +23,8 @@ const MessageSize = 100 * 1024
 // Table1 measures raw point-to-point goodput of the simulated 100 Mb/s
 // link under netperf-style TCP and UDP streaming — the paper's Table 1
 // (TCP 94 Mb/s, UDP 93 Mb/s).
-func Table1() *metrics.Series {
-	s := &metrics.Series{Name: "Table 1: raw network performance (Netperf)",
+func Table1() *Series {
+	s := &Series{Name: "Table 1: raw network performance (Netperf)",
 		XLabel: "MSS (bytes)", YLabel: "goodput (Mb/s)"}
 	tcp := netsim.RawGoodput(netsim.DefaultBandwidth, netsim.TCPSegmentPayload,
 		netsim.TCPFrameOverhead, time.Second)
@@ -64,8 +63,8 @@ func singleMessageLatency(n, t, sender int, size int) (time.Duration, error) {
 // contention-free 100 KB broadcasts, n = 2..10, latency averaged over the
 // sender's ring position (the paper averages the latencies observed at
 // each sender). Expected shape: linear in n.
-func Figure6(ns []int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Figure 6: latency vs number of processes",
+func Figure6(ns []int) (*Series, error) {
+	s := &Series{Name: "Figure 6: latency vs number of processes",
 		XLabel: "processes", YLabel: "latency (ms)"}
 	for _, n := range ns {
 		var total time.Duration
@@ -149,15 +148,15 @@ func throttledRunCfg(n int, cfg netsim.Config, aggregate float64, horizon time.D
 		return 0, 0, c.Err()
 	}
 	mbps := float64(bytes) * 8 / (horizon - warmup).Seconds() / 1e6
-	return mbps, metrics.Summarize(latencies).Mean, nil
+	return mbps, Summarize(latencies).Mean, nil
 }
 
 // Figure7 reproduces "latency as a function of the throughput": 5
 // processes, n-to-n 100 KB broadcasts, senders throttled to a sweep of
 // offered loads. Expected shape: flat latency until the ~79 Mb/s
 // saturation point, then a sharp queueing blow-up.
-func Figure7(offeredMbps []float64) (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Figure 7: latency vs throughput (n=5)",
+func Figure7(offeredMbps []float64) (*Series, error) {
+	s := &Series{Name: "Figure 7: latency vs throughput (n=5)",
 		XLabel: "throughput (Mb/s)", YLabel: "latency (ms)"}
 	for _, load := range offeredMbps {
 		mbps, lat, err := throttledRun(5, load*1e6, 4*time.Second)
@@ -178,8 +177,8 @@ func Figure7(offeredMbps []float64) (*metrics.Series, error) {
 // its calibrated per-segment delivery cost, not the wire, is the ceiling,
 // which is what docs/bench-history/BENCH_2026-07-27_pr3.json recorded — while the
 // batched stack pushes the knee to where the receive path maxes out.
-func Figure7X(offeredMbps []float64) (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Figure 7x: latency vs throughput, overhauled hot path (n=5, 1 Gb/s)",
+func Figure7X(offeredMbps []float64) (*Series, error) {
+	s := &Series{Name: "Figure 7x: latency vs throughput, overhauled hot path (n=5, 1 Gb/s)",
 		XLabel: "throughput (Mb/s)", YLabel: "latency (ms)"}
 	for _, load := range offeredMbps {
 		mbps, lat, err := throttledRunCfg(5, netsim.ModernConfig(), load*1e6, 4*time.Second)
@@ -257,8 +256,8 @@ func SaturateSenders(c *netsim.Cluster, senders []int, payload []byte) {
 // Figure8 reproduces "throughput as a function of the number of
 // processes": n-to-n saturating 100 KB broadcasts, n = 2..10. Expected
 // shape: flat at ~79 Mb/s, independent of n.
-func Figure8(ns []int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Figure 8: throughput vs number of processes",
+func Figure8(ns []int) (*Series, error) {
+	s := &Series{Name: "Figure 8: throughput vs number of processes",
 		XLabel: "processes", YLabel: "throughput (Mb/s)"}
 	for _, n := range ns {
 		mbps, err := saturatedThroughput(n, n, 3*time.Second)
@@ -273,8 +272,8 @@ func Figure8(ns []int) (*metrics.Series, error) {
 // Figure9 reproduces "throughput as a function of the number of senders":
 // k-to-5 saturating 100 KB broadcasts, k = 1..5. Expected shape: flat at
 // ~79 Mb/s, independent of k.
-func Figure9(ks []int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: "Figure 9: throughput vs number of senders (n=5)",
+func Figure9(ks []int) (*Series, error) {
+	s := &Series{Name: "Figure 9: throughput vs number of senders (n=5)",
 		XLabel: "senders", YLabel: "throughput (Mb/s)"}
 	for _, k := range ks {
 		mbps, err := saturatedThroughput(5, k, 3*time.Second)
@@ -290,8 +289,8 @@ func Figure9(ks []int) (*metrics.Series, error) {
 // quantitative): round-model throughput of every protocol class on the
 // k-to-n pattern. FSR is the only class that reaches one completed
 // broadcast per round on every pattern.
-func Classes(n, k, perSender int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: fmt.Sprintf("Protocol classes: %d-to-%d round-model throughput", k, n),
+func Classes(n, k, perSender int) (*Series, error) {
+	s := &Series{Name: fmt.Sprintf("Protocol classes: %d-to-%d round-model throughput", k, n),
 		XLabel: "class#", YLabel: "broadcasts/round"}
 	for i, p := range model.Protocols() {
 		res, err := model.Run(p.Name, p.New(n), n, model.SenderSet(k), perSender, 50_000_000)
@@ -306,8 +305,8 @@ func Classes(n, k, perSender int) (*metrics.Series, error) {
 // PrivilegeTradeoff quantifies the §2.3 fairness/throughput trade-off that
 // FSR eliminates: two senders half a ring apart, fair (quantum 1) and
 // unfair (unbounded quantum) privilege vs FSR.
-func PrivilegeTradeoff(n, perSender int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: fmt.Sprintf("Privilege trade-off: 2 opposite senders, n=%d", n),
+func PrivilegeTradeoff(n, perSender int) (*Series, error) {
+	s := &Series{Name: fmt.Sprintf("Privilege trade-off: 2 opposite senders, n=%d", n),
 		XLabel: "variant#", YLabel: "broadcasts/round"}
 	senders := model.OppositeSenders(n)
 	runs := []struct {
@@ -330,8 +329,8 @@ func PrivilegeTradeoff(n, perSender int) (*metrics.Series, error) {
 
 // LatencyFormula tabulates §4.3.1's L(i) = 2n + t - i - 1 as measured on
 // the round model against the closed form.
-func LatencyFormula(n, t int) (*metrics.Series, error) {
-	s := &metrics.Series{Name: fmt.Sprintf("Latency formula L(i)=2n+t-i-1 (n=%d t=%d)", n, t),
+func LatencyFormula(n, t int) (*Series, error) {
+	s := &Series{Name: fmt.Sprintf("Latency formula L(i)=2n+t-i-1 (n=%d t=%d)", n, t),
 		XLabel: "sender position", YLabel: "rounds"}
 	for i := 0; i < n; i++ {
 		sys := model.NewFSR(n, t)

@@ -1,7 +1,8 @@
-// Package metrics provides the small statistics toolkit used by the
-// benchmark harness: duration summaries and labeled (x, y) series rendered
-// as text tables, mirroring the paper's figures.
-package metrics
+package bench
+
+// The small statistics toolkit the experiments report through: duration
+// summaries and labeled (x, y) series rendered as text tables, mirroring
+// the paper's figures.
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package metrics
+package bench
 
 import (
 	"math/rand"

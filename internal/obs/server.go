@@ -3,8 +3,10 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"time"
 )
 
@@ -78,3 +80,18 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the endpoint immediately.
 func (s *Server) Close() error { return s.srv.Close() }
+
+// NewLogger builds the stderr logger behind the binaries' -log flag: text,
+// json or off.
+func NewLogger(format string) (*slog.Logger, error) {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	case "off":
+		return slog.New(slog.DiscardHandler), nil
+	default:
+		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
+	}
+}

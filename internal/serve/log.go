@@ -9,32 +9,41 @@ import (
 	"fsr/internal/wire"
 )
 
-// Log is a host's committed order as the serving layer reads it: the
-// applied frontier, the signal that wakes whoever waits on it, and the
-// entries behind it. Ring members and edge replicas each build one and
-// hand it to New as the Source; in-process subscribers page the same Log
-// with the same call.
+// Log is a host's replica of the committed order, written and read in one
+// place: the entries, the applied frontier, the signal that wakes whoever
+// waits on it, and the snapshot standing in for a truncated prefix. Ring
+// members and edge replicas each build one, write it from their one
+// applying goroutine and hand it to New as the Source; in-process
+// subscribers page the same Log with the same call.
 //
-// Entries come from one of two backings, chosen by whether the host has a
-// durable directory:
+// Entries live in one of two backings, chosen by whether the host has a
+// durable directory; only this type knows which:
 //
 //   - a ring of the newest entries in memory. Older ones fall below the
-//     horizon (BelowHorizon — the client tries another host) unless a
-//     snapshot set by SetSnapshot covers them;
-//   - the host's write-ahead log, read in place. The host appends and
-//     syncs it; the Log only reads, handing over the WAL's latest snapshot
-//     when the entries a subscriber needs were truncated behind it.
+//     horizon (BelowHorizon — the client tries another host) unless an
+//     installed snapshot covers them. Append, Sync, Writable and Close
+//     have nothing to do;
+//   - a write-ahead log, appended to, synced and read in place; its latest
+//     snapshot is handed over when the entries a subscriber needs were
+//     truncated behind it.
+//
+// The writer's calls for one batch, in order: Append per entry (or
+// InstallSnapshot, for a state transfer), then Commit to make it servable.
+// A member calls Sync between the two, because what it commits it also
+// acknowledges; an edge commits unsynced and calls Sync from a timer,
+// because what a crash loses it refetches upstream. A failed write leaves
+// the frontier where it was, and the host fail-stops.
 //
 // Sequence numbers are ascending but not dense — members filter duplicate
 // client publishes out of the order while still consuming their slot — so
 // both backings search by Seq. Payloads are never mutated after Commit, so
 // pages hand out references.
 //
-// All methods are safe from any goroutine; Commit, SetSnapshot and
-// RaiseHorizon are called by the host's single writer.
+// All methods are safe from any goroutine; Append, Sync, Commit,
+// InstallSnapshot and RaiseHorizon are called by the host's single writer.
 type Log struct {
 	wal     *wal.Log
-	appSnap func(stored []byte) []byte // WAL backing: application part of a stored snapshot
+	appSnap func(stored []byte) []byte // application part of a snapshot as the host stores it
 	ringCap int
 
 	mu      sync.Mutex
@@ -47,18 +56,23 @@ type Log struct {
 }
 
 // NewRingLog returns a Log that retains the newest ringCap entries in
-// memory. The ring grows on demand up to that cap.
-func NewRingLog(ringCap int) *Log {
-	return &Log{ringCap: ringCap, moved: make(chan struct{})}
+// memory. The ring grows on demand up to that cap. appSnapshot extracts
+// what a subscriber is handed from a snapshot as the host stores it; nil
+// means the stored bytes are the application snapshot.
+func NewRingLog(ringCap int, appSnapshot func(stored []byte) []byte) *Log {
+	if appSnapshot == nil {
+		appSnapshot = func(stored []byte) []byte { return stored }
+	}
+	return &Log{ringCap: ringCap, appSnap: appSnapshot, moved: make(chan struct{})}
 }
 
-// NewWALLog returns a Log served out of w, with the frontier at applied:
-// what the host recovered from w, which a replay cut short by a bad read
-// leaves below w.LastSeq. appSnapshot extracts what a subscriber is handed
-// from a snapshot as the host stored it; nil means the stored bytes are
-// the application snapshot.
+// NewWALLog returns a Log written to and served out of w, which it owns
+// from here, with the frontier at applied: what the host recovered from w,
+// which a replay cut short by a bad read leaves below w.LastSeq.
 func NewWALLog(w *wal.Log, applied uint64, appSnapshot func(stored []byte) []byte) *Log {
-	return &Log{wal: w, appSnap: appSnapshot, applied: applied, moved: make(chan struct{})}
+	l := NewRingLog(0, appSnapshot)
+	l.wal, l.applied = w, applied
+	return l
 }
 
 // Applied implements Source.
@@ -77,11 +91,33 @@ func (l *Log) Watch() <-chan struct{} {
 	return l.moved
 }
 
+// Append writes one entry of the batch being applied. It is not servable
+// before Commit, nor durable before Sync.
+func (l *Log) Append(e wire.ClientEventEntry) error {
+	if l.wal == nil {
+		return nil // the ring retains the batch at Commit
+	}
+	return l.wal.Append(wal.Entry{
+		Seq:       e.Seq,
+		Origin:    uint32(e.Origin),
+		LogicalID: e.Logical,
+		Payload:   e.Payload,
+	})
+}
+
+// Sync makes every appended entry durable.
+func (l *Log) Sync() error {
+	if l.wal == nil {
+		return nil
+	}
+	return l.wal.Sync()
+}
+
 // Commit makes a batch servable: entries (ascending; ones at or below what
 // is already held are ignored) are retained and the frontier moves to
 // frontier — at least the last entry's Seq, higher when the batch ended in
-// filtered slots or a snapshot transfer. On the WAL backing the host has
-// already appended and synced the entries, so only the frontier moves.
+// filtered slots or an installed snapshot. On the WAL backing the entries
+// are the ones Append wrote, so only the frontier moves.
 func (l *Log) Commit(entries []wire.ClientEventEntry, frontier uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -104,22 +140,25 @@ func (l *Log) Commit(entries []wire.ClientEventEntry, frontier uint64) {
 	l.advanceLocked(frontier)
 }
 
-// SetSnapshot records that the order up to seq is represented by an
-// application snapshot rather than entries (an edge's upstream state
-// transfer) and moves the frontier there. The ring backing keeps data as
-// its snapshot floor and restarts the entry tail above it; on the WAL
-// backing the host has written the snapshot to the WAL, which serves it.
-func (l *Log) SetSnapshot(seq uint64, data []byte) {
+// InstallSnapshot records that the order up to seq is represented by a
+// snapshot rather than entries (a state transfer); stored is the snapshot
+// as the host keeps it. The WAL writes it durably and truncates the entries
+// it covers; the ring keeps its application part as the snapshot floor and
+// restarts the entry tail above it. Like Append it moves no frontier: the
+// Commit that ends the batch does, at seq or above. A snapshot at or below
+// the frontier is stale and ignored.
+func (l *Log) InstallSnapshot(seq uint64, stored []byte) error {
+	if seq <= l.Applied() {
+		return nil // only the caller moves the frontier, so this cannot race
+	}
+	if l.wal != nil {
+		return l.wal.WriteSnapshot(seq, stored)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq <= l.applied {
-		return // stale: the log already covers this prefix
-	}
-	if l.wal == nil {
-		l.snap, l.snapSeq, l.base = data, seq, seq
-		l.ring.Clear()
-	}
-	l.advanceLocked(seq)
+	l.snap, l.snapSeq, l.base = l.appSnap(stored), seq, seq
+	l.ring.Clear()
+	return nil
 }
 
 // RaiseHorizon marks everything at or below seq as never held by this
@@ -138,6 +177,31 @@ func (l *Log) RaiseHorizon(seq uint64) {
 	}
 }
 
+// WALStats snapshots the WAL's counters, taking no lock; ok is false on the
+// ring backing.
+func (l *Log) WALStats() (st wal.Stats, ok bool) {
+	if l.wal == nil {
+		return wal.Stats{}, false
+	}
+	return l.wal.Stats(), true
+}
+
+// Writable probes the durable directory, if any (see wal.Log.Writable).
+func (l *Log) Writable() error {
+	if l.wal == nil {
+		return nil
+	}
+	return l.wal.Writable()
+}
+
+// Close syncs and releases the WAL, if any; nothing may be written after.
+func (l *Log) Close() error {
+	if l.wal == nil {
+		return nil
+	}
+	return l.wal.Close()
+}
+
 func (l *Log) advanceLocked(frontier uint64) {
 	if frontier <= l.applied {
 		return
@@ -153,10 +217,8 @@ func (l *Log) advanceLocked(frontier uint64) {
 // snapshot covers (0 when none).
 func (l *Log) Held() (base uint64, entries int, snapSeq uint64) {
 	if l.wal != nil {
-		if snap, ok := l.wal.LatestSnapshot(); ok {
-			return snap.Seq, 0, snap.Seq
-		}
-		return 0, 0, 0
+		seq := l.wal.Stats().SnapshotSeq
+		return seq, 0, seq
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -202,11 +264,7 @@ func (l *Log) readWAL(cursor, applied uint64, maxEntries, maxBytes int) (Page, e
 		if first, _ := l.wal.Bounds(); first == 0 || first > cursor+1 {
 			// The entries the subscriber needs are truncated behind the
 			// snapshot: hand over the application state instead.
-			app := snap.Data
-			if l.appSnap != nil {
-				app = l.appSnap(app)
-			}
-			return Page{Snap: app, SnapSeq: snap.Seq, Cursor: snap.Seq}, nil
+			return Page{Snap: l.appSnap(snap.Data), SnapSeq: snap.Seq, Cursor: snap.Seq}, nil
 		}
 	}
 	entries, more, err := l.wal.ReadFrom(cursor, applied, maxEntries, maxBytes)

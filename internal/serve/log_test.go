@@ -6,43 +6,43 @@ import (
 	"testing"
 
 	"fsr/internal/wal"
+	"fsr/internal/wal/walfault"
 	"fsr/internal/wire"
 )
 
-// hostLog is a Log together with the write path its host runs in front of
-// it: nothing for the ring, append+sync / WriteSnapshot on the WAL.
-type hostLog struct {
-	*Log
-	wal *wal.Log
+// hostLog is a Log driven the way a member's pump drives it: Append each
+// entry the host does not hold yet, Sync, Commit.
+type hostLog struct{ *Log }
+
+func entryOf(seq uint64) wire.ClientEventEntry {
+	return wire.ClientEventEntry{Seq: seq, Origin: 7, Logical: seq, Payload: payloadOf(seq)}
 }
 
 func (h hostLog) commit(t *testing.T, frontier uint64, seqs ...uint64) {
 	t.Helper()
 	entries := make([]wire.ClientEventEntry, len(seqs))
 	for i, seq := range seqs {
-		entries[i] = wire.ClientEventEntry{Seq: seq, Origin: 7, Logical: seq, Payload: payloadOf(seq)}
-		if h.wal != nil && seq > h.Applied() {
-			if err := h.wal.Append(wal.Entry{Seq: seq, Origin: 7, LogicalID: seq, Payload: payloadOf(seq)}); err != nil {
+		entries[i] = entryOf(seq)
+		if seq > h.Applied() { // hosts skip what a restarted stream re-delivers
+			if err := h.Append(entries[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if h.wal != nil {
-		if err := h.wal.Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if err := h.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	h.Commit(entries, frontier)
 }
 
+// snapshot is a state transfer as a host applies it: install, then commit
+// the frontier to it.
 func (h hostLog) snapshot(t *testing.T, seq uint64, data []byte) {
 	t.Helper()
-	if h.wal != nil && seq > h.Applied() {
-		if err := h.wal.WriteSnapshot(seq, data); err != nil {
-			t.Fatal(err)
-		}
+	if err := h.InstallSnapshot(seq, data); err != nil {
+		t.Fatal(err)
 	}
-	h.SetSnapshot(seq, data)
+	h.Commit(nil, seq)
 }
 
 // payloadOf is ten bytes naming the entry.
@@ -86,33 +86,100 @@ func closed(c <-chan struct{}) bool {
 	}
 }
 
-// TestLog runs one set of cases over both backings: the committed order
-// pages identically whether it is held in the ring or read from the WAL.
-// Where the backings differ by design — only the ring has a horizon — the
-// case says so.
+// trimIndex is a host's appSnapshot: its stored snapshots carry an index in
+// front of the application state.
+func trimIndex(stored []byte) []byte { return bytes.TrimPrefix(stored, []byte("index|")) }
+
+// TestLog runs one set of cases over both backings: the committed order is
+// written with the same calls and pages identically whether it is held in
+// the ring or in the WAL. Where the backings differ by design — only the
+// ring has a horizon, only the WAL has writes that can fail — the case says
+// so.
 func TestLog(t *testing.T) {
 	const ringCap = 4
 	backings := []struct {
 		name string
-		open func(t *testing.T) hostLog
+		// open returns the Log and, where the backing has a disk, the switch
+		// that makes every later fsync on it fail.
+		open func(t *testing.T) (hostLog, func())
 	}{
-		{"ring", func(t *testing.T) hostLog { return hostLog{Log: NewRingLog(ringCap)} }},
-		{"wal", func(t *testing.T) hostLog {
-			w, err := wal.Open(t.TempDir(), wal.Options{})
+		{"ring", func(t *testing.T) (hostLog, func()) { return hostLog{NewRingLog(ringCap, trimIndex)}, nil }},
+		{"wal", func(t *testing.T) (hostLog, func()) {
+			fopts := walfault.NoOneShots()
+			fopts.FsyncErrEvery = 1
+			ffs := walfault.New(nil, fopts)
+			ffs.Disarm()
+			w, err := wal.Open(t.TempDir(), wal.Options{FS: ffs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { _ = w.Close() })
-			return hostLog{Log: NewWALLog(w, w.LastSeq(), nil), wal: w}
+			l := NewWALLog(w, w.LastSeq(), trimIndex)
+			t.Cleanup(func() { _ = l.Close() })
+			return hostLog{l}, ffs.Arm
 		}},
 	}
 	for _, b := range backings {
 		durable := b.name == "wal"
+		open := func(t *testing.T) hostLog {
+			l, _ := b.open(t)
+			return l
+		}
 		t.Run(b.name, func(t *testing.T) {
+			// What the writer appended is nobody's to read until Commit.
+			t.Run("visible at Commit", func(t *testing.T) {
+				l := open(t)
+				moved := l.Watch()
+				if err := l.Append(entryOf(1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if l.Applied() != 0 || closed(moved) {
+					t.Fatalf("before Commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
+				}
+				l.Commit([]wire.ClientEventEntry{entryOf(1)}, 1)
+				if l.Applied() != 1 || !closed(moved) {
+					t.Fatalf("after Commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
+				}
+				p, err := l.ReadCommitted(0, 1, 16, 1<<20)
+				wantPage(t, p, err, 1, 1)
+			})
+
+			// The fail-stop a host builds on (TestEdgePoisonedStore): after a
+			// failed write nothing moves the frontier.
+			t.Run("write error leaves the frontier", func(t *testing.T) {
+				l, failDisk := b.open(t)
+				l.commit(t, 3, 1, 2, 3)
+				if err := l.Writable(); err != nil {
+					t.Fatalf("healthy log not writable: %v", err)
+				}
+				if !durable {
+					return // a ring has no write that can fail
+				}
+				failDisk()
+				err := l.Append(entryOf(4))
+				if err == nil {
+					err = l.Sync()
+				}
+				if err == nil {
+					t.Fatal("append+sync onto a failing disk succeeded")
+				}
+				if err := l.InstallSnapshot(20, []byte("index|state@20")); err == nil {
+					t.Fatal("InstallSnapshot onto a failing disk succeeded")
+				}
+				if l.Applied() != 3 {
+					t.Fatalf("failed writes moved the frontier to %d", l.Applied())
+				}
+				if st, ok := l.WALStats(); !ok || !st.Poisoned || l.Writable() == nil {
+					t.Fatalf("after a failed write: stats %+v ok=%v, writable err %v", st, ok, l.Writable())
+				}
+			})
+
 			// Members filter duplicate publishes out of the order while
 			// still consuming their slot, so seqs skip values (bug #12).
 			t.Run("sparse seqs", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 10, 2, 5, 6, 9) // 10 was a filtered slot
 				if l.Applied() != 10 {
 					t.Fatalf("applied %d, want 10", l.Applied())
@@ -128,7 +195,7 @@ func TestLog(t *testing.T) {
 			})
 
 			t.Run("page cut by entries", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 9, 2, 5, 6, 9)
 				p, err := l.ReadCommitted(0, 9, 2, 1<<20)
 				wantPage(t, p, err, 5, 2, 5)
@@ -137,7 +204,7 @@ func TestLog(t *testing.T) {
 			})
 
 			t.Run("page cut by bytes", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 9, 2, 5, 6, 9)
 				// Ten-byte payloads: the page closes once it holds 15 bytes
 				// or more, and always takes at least one entry.
@@ -151,7 +218,7 @@ func TestLog(t *testing.T) {
 			// run on in between. The page stays within the sample and the
 			// cursor never falls behind what was served.
 			t.Run("tail past the sampled frontier", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 3, 1, 2, 3)
 				sampled := l.Applied()
 				l.commit(t, 4, 4)
@@ -162,7 +229,7 @@ func TestLog(t *testing.T) {
 			})
 
 			t.Run("eviction raises the horizon", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 6, 1, 2, 3, 4, 5, 6)
 				base, held, _ := l.Held()
 				p, err := l.ReadCommitted(0, 6, 16, 1<<20)
@@ -185,10 +252,16 @@ func TestLog(t *testing.T) {
 			})
 
 			t.Run("snapshot floor", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 3, 1, 2, 3)
 				moved := l.Watch()
-				l.snapshot(t, 20, []byte("state@20"))
+				if err := l.InstallSnapshot(20, []byte("index|state@20")); err != nil {
+					t.Fatal(err)
+				}
+				if l.Applied() != 3 || closed(moved) {
+					t.Fatalf("before Commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
+				}
+				l.Commit(nil, 20)
 				if l.Applied() != 20 || !closed(moved) {
 					t.Fatalf("snapshot: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
@@ -202,7 +275,7 @@ func TestLog(t *testing.T) {
 				l.commit(t, 22, 21, 22)
 				p, err = l.ReadCommitted(20, 22, 16, 1<<20)
 				wantPage(t, p, err, 22, 21, 22)
-				l.snapshot(t, 10, []byte("stale")) // behind the frontier: ignored
+				l.snapshot(t, 10, []byte("index|stale")) // behind the frontier: ignored
 				p, _ = l.ReadCommitted(1, 22, 16, 1<<20)
 				if string(p.Snap) != "state@20" {
 					t.Fatalf("stale snapshot replaced the floor: %+v", p)
@@ -213,7 +286,7 @@ func TestLog(t *testing.T) {
 			// before admitting it; a durable one fetches it by catch-up, so
 			// the WAL backing has no horizon to raise.
 			t.Run("RaiseHorizon", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 3, 1, 2, 3)
 				l.RaiseHorizon(10)
 				if l.Applied() != 3 {
@@ -238,7 +311,7 @@ func TestLog(t *testing.T) {
 			// A restarted upstream stream re-delivers what the host already
 			// holds.
 			t.Run("stale commit ignored", func(t *testing.T) {
-				l := b.open(t)
+				l := open(t)
 				l.commit(t, 3, 1, 2, 3)
 				moved := l.Watch()
 				l.commit(t, 2, 2)
@@ -264,12 +337,11 @@ func TestLogWALSnapshotUnwrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	l := NewWALLog(w, 0, func(stored []byte) []byte { return bytes.TrimPrefix(stored, []byte("index|")) })
-	if err := w.WriteSnapshot(5, []byte("index|app")); err != nil {
+	l := NewWALLog(w, 0, trimIndex)
+	defer l.Close()
+	if err := l.InstallSnapshot(5, []byte("index|app")); err != nil {
 		t.Fatal(err)
 	}
-	l.Commit(nil, 5)
 	p, err := l.ReadCommitted(0, 5, 16, 1<<20)
 	if err != nil || string(p.Snap) != "app" || p.SnapSeq != 5 {
 		t.Fatalf("snapshot page = %+v, %v", p, err)
@@ -284,9 +356,9 @@ func TestLogWALResumesAtLastSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := hostLog{Log: NewWALLog(w, w.LastSeq(), nil), wal: w}
+	l := hostLog{NewWALLog(w, w.LastSeq(), nil)}
 	l.commit(t, 5, 2, 5)
-	if err := w.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w, err = wal.Open(dir, wal.Options{})

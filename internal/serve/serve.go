@@ -134,7 +134,6 @@ type Stats struct {
 // Server serves the client sub-protocol for one host.
 type Server struct {
 	cfg      Config
-	batcher  transport.BatchSender // non-nil when Transport supports batches
 	queueCap int
 	stopc    chan struct{}
 	wg       sync.WaitGroup
@@ -176,7 +175,6 @@ func New(cfg Config) *Server {
 	if s.queueCap <= 0 {
 		s.queueCap = defaultQueueCap
 	}
-	s.batcher, _ = cfg.Transport.(transport.BatchSender)
 	s.wg.Add(1)
 	go s.keepaliveLoop()
 	return s
@@ -305,7 +303,6 @@ func (o *clientOut) writer() {
 	var (
 		items    []outItem
 		payloads [][]byte
-		copies   [][]byte // tail copies for non-batch transports
 	)
 	for {
 		o.mu.Lock()
@@ -328,34 +325,17 @@ func (o *clientOut) writer() {
 		o.cond.Broadcast() // space freed: wake blocked pagers
 		o.mu.Unlock()
 
-		var err error
-		if o.s.batcher != nil {
-			// Batch contract: buffers stay ours after the call, so the
-			// pooled tail frames are shared with zero copies.
-			payloads = payloads[:0]
-			for _, it := range items {
-				if it.tail != nil {
-					payloads = append(payloads, it.tail.buf.B)
-				} else {
-					payloads = append(payloads, it.payload)
-				}
+		// Batch contract: buffers stay ours after the call, so the pooled
+		// tail frames are shared with zero copies.
+		payloads = payloads[:0]
+		for _, it := range items {
+			if it.tail != nil {
+				payloads = append(payloads, it.tail.buf.B)
+			} else {
+				payloads = append(payloads, it.payload)
 			}
-			err = o.s.batcher.SendBatch(o.id, payloads)
-		} else {
-			// Send passes buffer ownership to the transport: hand shared
-			// tail bytes over as copies.
-			for _, it := range items {
-				p := it.payload
-				if it.tail != nil {
-					p = append([]byte(nil), it.tail.buf.B...)
-					copies = append(copies, p)
-				}
-				if err = o.s.cfg.Transport.Send(o.id, p); err != nil {
-					break
-				}
-			}
-			copies = copies[:0]
 		}
+		err := o.s.cfg.Transport.SendBatch(o.id, payloads)
 		for _, it := range items {
 			if it.tail != nil {
 				it.tail.release()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -70,16 +69,13 @@ func (f *fakeSource) add(n int, payload []byte) []wire.ClientEventEntry {
 // fakeTransport records every frame per destination (copies, since batch
 // buffers are pooled) and can block writes to chosen destinations.
 type fakeTransport struct {
-	batch bool // expose SendBatch
-
 	mu     sync.Mutex
 	frames map[ProcID][][]byte
 	gate   map[ProcID]chan struct{} // writes to this dest block until closed
 }
 
-func newFakeTransport(batch bool) *fakeTransport {
+func newFakeTransport() *fakeTransport {
 	return &fakeTransport{
-		batch:  batch,
 		frames: make(map[ProcID][][]byte),
 		gate:   make(map[ProcID]chan struct{}),
 	}
@@ -119,10 +115,7 @@ func (t *fakeTransport) sent(to ProcID) [][]byte {
 	return append([][]byte(nil), t.frames[to]...)
 }
 
-// batchTransport adds SendBatch (the zero-copy hot path).
-type batchTransport struct{ *fakeTransport }
-
-func (t batchTransport) SendBatch(to ProcID, payloads [][]byte) error {
+func (t *fakeTransport) SendBatch(to ProcID, payloads [][]byte) error {
 	for _, p := range payloads {
 		t.record(to, p)
 	}
@@ -181,48 +174,40 @@ func tailFramesOf(t *testing.T, frames [][]byte) [][]byte {
 // TestTailFramesByteIdentical is the encode-once contract: every attached
 // subscriber receives the exact same frame bytes for each committed batch.
 func TestTailFramesByteIdentical(t *testing.T) {
-	for _, batch := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
-			ft := newFakeTransport(batch)
-			var tr transport.Transport = ft
-			if batch {
-				tr = batchTransport{ft}
-			}
-			src := newFakeSource()
-			s := newServer(t, tr, src, 0)
+	ft := newFakeTransport()
+	src := newFakeSource()
+	s := newServer(t, ft, src, 0)
 
-			clients := []ProcID{101, 102, 103, 104}
-			for _, cid := range clients {
-				subscribe(s, cid, 1)
+	clients := []ProcID{101, 102, 103, 104}
+	for _, cid := range clients {
+		subscribe(s, cid, 1)
+	}
+	waitFor(t, "all subscribers attached", func() bool {
+		return s.Stats().TailAttached == len(clients)
+	})
+	const batches = 5
+	for i := 0; i < batches; i++ {
+		s.PublishTail(src.add(3, []byte("payload-of-the-batch")))
+	}
+	waitFor(t, "all tail frames delivered", func() bool {
+		for _, cid := range clients {
+			if len(tailFramesOf(t, ft.sent(cid))) < batches {
+				return false
 			}
-			waitFor(t, "all subscribers attached", func() bool {
-				return s.Stats().TailAttached == len(clients)
-			})
-			const batches = 5
-			for i := 0; i < batches; i++ {
-				s.PublishTail(src.add(3, []byte("payload-of-the-batch")))
+		}
+		return true
+	})
+	ref := tailFramesOf(t, ft.sent(clients[0]))
+	for _, cid := range clients[1:] {
+		got := tailFramesOf(t, ft.sent(cid))
+		if len(got) != len(ref) {
+			t.Fatalf("client %d: %d tail frames, want %d", cid, len(got), len(ref))
+		}
+		for i := range ref {
+			if !bytes.Equal(ref[i], got[i]) {
+				t.Fatalf("client %d: tail frame %d differs from client %d's", cid, i, clients[0])
 			}
-			waitFor(t, "all tail frames delivered", func() bool {
-				for _, cid := range clients {
-					if len(tailFramesOf(t, ft.sent(cid))) < batches {
-						return false
-					}
-				}
-				return true
-			})
-			ref := tailFramesOf(t, ft.sent(clients[0]))
-			for _, cid := range clients[1:] {
-				got := tailFramesOf(t, ft.sent(cid))
-				if len(got) != len(ref) {
-					t.Fatalf("client %d: %d tail frames, want %d", cid, len(got), len(ref))
-				}
-				for i := range ref {
-					if !bytes.Equal(ref[i], got[i]) {
-						t.Fatalf("client %d: tail frame %d differs from client %d's", cid, i, clients[0])
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -280,7 +265,7 @@ func TestTailFanoutAllocs(t *testing.T) {
 // detached once its bounded queue fills, without delaying PublishTail or
 // the other subscribers — and catches back up gap-free when it drains.
 func TestSlowSubscriberIsolation(t *testing.T) {
-	ft := newFakeTransport(false)
+	ft := newFakeTransport()
 	src := newFakeSource()
 	s := newServer(t, ft, src, 8)
 

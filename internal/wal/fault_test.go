@@ -9,6 +9,9 @@ package wal_test
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"fsr/internal/wal"
@@ -286,7 +289,7 @@ func TestSnapshotCrashAtomicity(t *testing.T) {
 		fopts := walfault.NoOneShots()
 		fopts.FailRemoveAt = 3 // 0: gen tmp defer, 1: snap tmp defer, 2: first covered seg, 3: second
 		ffs := walfault.New(nil, fopts)
-		// ~40-byte records, 64-byte segments: two entries per segment.
+		// A chain record and one ~40-byte record fill a 64-byte segment.
 		l, err := wal.Open(dir, wal.Options{FS: ffs, SegmentBytes: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -320,6 +323,135 @@ func TestSnapshotCrashAtomicity(t *testing.T) {
 		wantSeqs(t, replaySeqs(t, l2, 8), 9, 10)
 		if l2.LastSeq() != 10 {
 			t.Fatalf("LastSeq = %d, want 10", l2.LastSeq())
+		}
+	})
+}
+
+// TestSegmentChainRefusesInteriorHole is ledger row A without the harness:
+// an fsync lies on a segment that is then sealed by a rotation, the next
+// segment is synced honestly, and the power cut takes the sealed segment's
+// tail. Each segment validates on its own — the cut is record-aligned and
+// seqs are legally sparse — so only the chain record at the head of the
+// surviving segment can tell that entries are missing between them, and
+// Open must refuse rather than let Replay run over the hole.
+func TestSegmentChainRefusesInteriorHole(t *testing.T) {
+	dir := t.TempDir()
+	fopts := walfault.NoOneShots()
+	fopts.LieFsyncAt = 1 // sticky: the rotation's own fsync of that segment lies too
+	ffs := walfault.New(nil, fopts)
+	l, err := wal.Open(dir, wal.Options{FS: ffs, SegmentBytes: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	appendSync := func() {
+		t.Helper()
+		seq++
+		if err := l.Append(fe(seq)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSync() // fsync 0: honest, seq 1 is durable
+	durable := seq
+	for l.Stats().Rotations == 0 {
+		appendSync() // fsync 1 lies, and so does every later one on this segment
+	}
+	appendSync() // the new segment's fsyncs are honest
+	if seq < durable+3 {
+		t.Fatalf("rotated after seq %d: no lied-about entry was sealed behind the rotation", seq-1)
+	}
+	_ = l.Close()
+	if err := ffs.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := wal.Open(dir, wal.Options{})
+	if err == nil {
+		got := replaySeqs(t, l2, 0)
+		_ = l2.Close()
+		t.Fatalf("reopened over an interior hole; replay yields %v of 1..%d", got, seq)
+	}
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("reopen = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSegmentChainAcceptsLegacyAndSnapshots: directories the chain must not
+// refuse. A segment written before chain records existed is chain-unknown;
+// a segment created behind WriteSnapshot's truncation chains to the
+// snapshot's seq, which may be far above the last entry.
+func TestSegmentChainAcceptsLegacyAndSnapshots(t *testing.T) {
+	t.Run("snapshot jump", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 3; seq++ {
+			if err := l.Append(fe(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.WriteSnapshot(50, []byte("state@50")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(fe(51)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatalf("reopen behind a snapshot jump: %v", err)
+		}
+		defer l2.Close()
+		wantSeqs(t, replaySeqs(t, l2, 50), 51)
+	})
+	t.Run("segment without a chain record", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := wal.Open(dir, wal.Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 4; seq++ {
+			if err := l.Append(fe(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Strip every segment's chain record: what an older build wrote.
+		names, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const chainRecord = 8 + 24 // record header + an entry with no payload
+		for _, de := range names {
+			if !strings.HasSuffix(de.Name(), ".seg") {
+				continue
+			}
+			path := filepath.Join(dir, de.Name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, b[chainRecord:], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l2, err := wal.Open(dir, wal.Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatalf("reopen of a chain-less directory: %v", err)
+		}
+		defer l2.Close()
+		wantSeqs(t, replaySeqs(t, l2, 0), 1, 2, 3, 4)
+		if err := l2.Append(fe(5)); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

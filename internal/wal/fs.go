@@ -27,8 +27,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	Truncate(path string, size int64) error
-	// FileSize returns the size of the named file.
-	FileSize(path string) (int64, error)
 	// SyncDir fsyncs a directory, making renames within it durable.
 	SyncDir(dir string) error
 }
@@ -94,14 +92,6 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 func (osFS) Remove(path string) error             { return os.Remove(path) }
 func (osFS) Truncate(path string, size int64) error {
 	return os.Truncate(path, size)
-}
-
-func (osFS) FileSize(path string) (int64, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
 }
 
 func (osFS) SyncDir(dir string) error {

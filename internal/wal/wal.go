@@ -21,6 +21,23 @@
 // truncated away; everything before it is intact because records are
 // written sequentially.
 //
+// # Segment chain
+//
+// Record validation sees one segment at a time, and sequence numbers are
+// legally sparse, so a sealed segment that lost a record-aligned tail (an
+// fsync that lied, then a rotate, then a power cut) looks clean on its own
+// while the honestly synced segment after it survives. Every segment
+// therefore opens with a chain record — an ordinary record with seq 0, which
+// no entry uses, whose logicalID is the highest sequence number recorded
+// (entry or snapshot) when the segment was created. Open walks the chain:
+// a segment whose chain record names a seq above everything recovered
+// before it follows a hole, and Open refuses the directory with ErrCorrupt —
+// the verdict an interior torn record gets — so the owner rejoins through
+// state transfer instead of replaying over the gap. A segment following
+// WriteSnapshot's truncation chains to the snapshot's seq. A segment
+// without a chain record (written before the chain existed) is accepted as
+// it was.
+//
 // # Failure model
 //
 // A failed write, flush or fsync permanently poisons the log: every later
@@ -54,6 +71,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -93,18 +111,19 @@ type Options struct {
 }
 
 // Stats is a point-in-time snapshot of the log's durability counters —
-// the storage-layer slice of the node's metrics surface.
+// the storage-layer slice of the node's metrics surface, which exports it
+// by the conversion fsr.WALMetrics(stats): the two agree field for field.
 type Stats struct {
-	Segments     int    // on-disk segment files (including the active one)
-	Bytes        int64  // total bytes across all retained segments
-	Appends      uint64 // entries appended this incarnation
-	Fsyncs       uint64 // fsync calls on the active segment
-	Rotations    uint64 // segment rotations this incarnation
-	Snapshots    uint64 // snapshots written this incarnation
-	SnapshotSeq  uint64 // seq covered by the latest snapshot (0 if none)
-	SnapshotTime time.Time
-	Repairs      uint64 // torn tails truncated at Open
-	Poisoned     bool   // a write/flush/fsync failed; the log is frozen
+	Segments    int           // on-disk segment files (including the active one)
+	Bytes       int64         // total bytes across all retained segments
+	Appends     uint64        // entries appended this incarnation
+	Fsyncs      uint64        // fsync calls on the active segment
+	Rotations   uint64        // segment rotations this incarnation
+	Snapshots   uint64        // snapshots written this incarnation
+	SnapshotSeq uint64        // seq covered by the latest snapshot (0 if none)
+	SnapshotAge time.Duration // since the latest snapshot written this incarnation (0 if none)
+	Repairs     uint64        // torn tails truncated at Open
+	Poisoned    bool          // a write/flush/fsync failed; the log is frozen
 }
 
 const (
@@ -139,6 +158,7 @@ type segment struct {
 	path  string
 	first uint64 // seq of the first entry (0 while empty)
 	last  uint64 // seq of the last entry (0 while empty)
+	size  int64  // bytes, for the active segment including what is buffered
 }
 
 // Log is one process's write-ahead log plus snapshot store.
@@ -152,22 +172,28 @@ type Log struct {
 	segs     []segment // ascending by first seq; the final one is active
 	f        File      // active segment
 	w        *bufio.Writer
-	size     int64 // bytes in the active segment (including buffered)
 	unsynced int
 	lastSeq  uint64 // highest entry or snapshot seq ever recorded
-	err      error  // sticky poison; non-nil freezes the log
 
 	snap *Snapshot // latest snapshot, kept in memory for serving
 	hint readHint  // resume point for paged catch-up reads
 	rec  []byte    // Append's record scratch, reused under mu
 
-	log      *slog.Logger
-	appends  uint64
-	fsyncs   uint64
-	rotates  uint64
-	snaps    uint64
-	snapTime time.Time
-	repairs  uint64
+	log *slog.Logger
+
+	// What Stats and Writable report. Written under mu, read without it: the
+	// owner scrapes these on its event loop, and mu is held across a whole
+	// fsync.
+	poison   atomic.Pointer[error] // sticky; non-nil freezes the log
+	segments atomic.Int64
+	bytes    atomic.Int64 // across all retained segments
+	appends  atomic.Uint64
+	fsyncs   atomic.Uint64
+	rotates  atomic.Uint64
+	snaps    atomic.Uint64
+	snapSeq  atomic.Uint64
+	snapTime atomic.Int64 // UnixNano of the latest WriteSnapshot, 0 if none
+	repairs  atomic.Uint64
 }
 
 // readHint remembers where the last ReadFrom page ended, so a paged
@@ -211,13 +237,16 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if l.snap != nil {
 		l.lastSeq = l.snap.Seq
+		l.snapSeq.Store(l.snap.Seq)
 	}
 	for i := range segs {
 		if err := l.recoverSegment(&segs[i], i == len(segs)-1); err != nil {
 			return nil, err
 		}
 		l.segs = append(l.segs, segs[i])
+		l.bytes.Add(segs[i].size)
 	}
+	l.segments.Store(int64(len(l.segs)))
 	if err := l.openActive(); err != nil {
 		return nil, err
 	}
@@ -280,8 +309,9 @@ func (l *Log) loadSnapshot(seqs []uint64) error {
 	return nil
 }
 
-// recoverSegment validates one segment, truncating a torn tail on the last
-// one and recording its entry bounds.
+// recoverSegment validates one segment — its records, and its place in the
+// segment chain against what the segments before it recovered — truncating
+// a torn tail on the last one and recording its entry bounds.
 func (l *Log) recoverSegment(s *segment, isLast bool) error {
 	f, err := l.fsys.Open(s.path)
 	if err != nil {
@@ -289,6 +319,13 @@ func (l *Log) recoverSegment(s *segment, isLast bool) error {
 	}
 	defer f.Close()
 	valid, err := scanRecords(f, func(e Entry) error {
+		if e.Seq == 0 {
+			if prev := e.LogicalID; prev > l.lastSeq {
+				return fmt.Errorf("%w: segment %s follows seq %d but the log before it ends at %d",
+					ErrCorrupt, s.path, prev, l.lastSeq)
+			}
+			return nil
+		}
 		if s.first == 0 {
 			s.first = e.Seq
 		}
@@ -298,6 +335,7 @@ func (l *Log) recoverSegment(s *segment, isLast bool) error {
 		}
 		return nil
 	})
+	s.size = valid
 	if err == nil {
 		return nil
 	}
@@ -307,7 +345,7 @@ func (l *Log) recoverSegment(s *segment, isLast bool) error {
 	if !isLast {
 		return fmt.Errorf("%w: torn record inside interior segment %s", ErrCorrupt, s.path)
 	}
-	l.repairs++
+	l.repairs.Add(1)
 	l.log.Info("wal repair", "segment", filepath.Base(s.path), "valid_bytes", valid, "last_seq", s.last)
 	return l.fsys.Truncate(s.path, valid)
 }
@@ -323,19 +361,19 @@ func (l *Log) openActive() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	size, err := f.Size()
-	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
-	l.size = size
+	if s.size == 0 {
+		// Emptied by a crash or a repair, chain record and all: chain it to
+		// what was recovered.
+		return l.writeChainLocked()
+	}
 	return nil
 }
 
 // createSegment starts a fresh active segment whose first entry will be
-// seq. Callers hold the lock (or run before the log is shared).
+// seq, chained to everything recorded so far. Callers hold the lock (or run
+// before the log is shared).
 func (l *Log) createSegment(seq uint64) error {
 	path := filepath.Join(l.dir, fmt.Sprintf("wal-%016x.seg", seq))
 	f, err := l.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -343,9 +381,36 @@ func (l *Log) createSegment(seq uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.segs = append(l.segs, segment{path: path})
+	l.segments.Store(int64(len(l.segs)))
 	l.f = f
 	l.w = bufio.NewWriter(f)
-	l.size = 0
+	return l.writeChainLocked()
+}
+
+// writeChainLocked opens the (empty) active segment with its chain record:
+// seq 0, logicalID = the highest seq recorded before it (see the package
+// comment). It is buffered, and reaches the disk with the segment's first
+// entries — a crash that loses it loses them too, leaving an empty segment
+// that chains to nothing and hides nothing.
+func (l *Log) writeChainLocked() error {
+	return l.writeRecordLocked(Entry{LogicalID: l.lastSeq})
+}
+
+// writeRecordLocked frames e into the active segment's buffer.
+func (l *Log) writeRecordLocked(e Entry) error {
+	rec := appendRecord(l.rec[:0], e)
+	if cap(rec) <= maxRecordScratch {
+		l.rec = rec // else: one huge entry must not pin its buffer for good
+	}
+	if _, err := l.w.Write(rec); err != nil {
+		// A short write leaves a partial record in the buffer (and maybe
+		// on disk). Poisoning here means no later append can flush bytes
+		// after the garbage: what is on disk stays a torn TAIL, which the
+		// next incarnation's Open truncates — never interior corruption.
+		return l.poisonLocked(fmt.Errorf("wal: append: %w", err))
+	}
+	l.segs[len(l.segs)-1].size += int64(len(rec))
+	l.bytes.Add(int64(len(rec)))
 	return nil
 }
 
@@ -390,11 +455,21 @@ func (l *Log) LatestSnapshot() (Snapshot, bool) {
 // same sticky error comes back from every later mutation or read. Callers
 // hold the lock.
 func (l *Log) poisonLocked(err error) error {
-	if l.err == nil {
-		l.err = fmt.Errorf("%w: %w", ErrPoisoned, err)
+	if l.poisoned() == nil {
+		sticky := fmt.Errorf("%w: %w", ErrPoisoned, err)
+		l.poison.Store(&sticky)
 		l.log.Error("wal poisoned", "err", err)
 	}
-	return l.err
+	return l.poisoned()
+}
+
+// poisoned returns the sticky error, nil while the log is healthy. It
+// takes no lock.
+func (l *Log) poisoned() error {
+	if p := l.poison.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Append writes one entry, rotating segments as they fill. The entry is
@@ -402,29 +477,20 @@ func (l *Log) poisonLocked(err error) error {
 func (l *Log) Append(e Entry) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	if err := l.poisoned(); err != nil {
+		return err
 	}
 	if l.f == nil {
 		return fmt.Errorf("wal: log closed")
 	}
-	if l.size >= int64(l.opts.SegmentBytes) {
+	if s := &l.segs[len(l.segs)-1]; s.first != 0 && s.size >= int64(l.opts.SegmentBytes) {
 		if err := l.rotate(e.Seq); err != nil {
 			return err
 		}
 	}
-	rec := appendRecord(l.rec[:0], e)
-	if cap(rec) <= maxRecordScratch {
-		l.rec = rec // else: one huge entry must not pin its buffer for good
+	if err := l.writeRecordLocked(e); err != nil {
+		return err
 	}
-	if _, err := l.w.Write(rec); err != nil {
-		// A short write leaves a partial record in the buffer (and maybe
-		// on disk). Poisoning here means no later append can flush bytes
-		// after the garbage: what is on disk stays a torn TAIL, which the
-		// next incarnation's Open truncates — never interior corruption.
-		return l.poisonLocked(fmt.Errorf("wal: append: %w", err))
-	}
-	l.size += int64(len(rec))
 	s := &l.segs[len(l.segs)-1]
 	if s.first == 0 {
 		s.first = e.Seq
@@ -433,7 +499,7 @@ func (l *Log) Append(e Entry) error {
 	if e.Seq > l.lastSeq {
 		l.lastSeq = e.Seq
 	}
-	l.appends++
+	l.appends.Add(1)
 	l.unsynced++
 	if l.unsynced >= l.opts.SyncEvery {
 		return l.syncLocked()
@@ -449,8 +515,8 @@ func (l *Log) rotate(seq uint64) error {
 	if err := l.f.Close(); err != nil {
 		return l.poisonLocked(fmt.Errorf("wal: rotate: %w", err))
 	}
-	l.rotates++
-	l.log.Info("wal rotate", "first_seq", seq, "segments", len(l.segs)+1, "sealed_bytes", l.size)
+	l.rotates.Add(1)
+	l.log.Info("wal rotate", "first_seq", seq, "segments", len(l.segs)+1, "sealed_bytes", l.segs[len(l.segs)-1].size)
 	if err := l.createSegment(seq); err != nil {
 		return l.poisonLocked(err)
 	}
@@ -472,8 +538,8 @@ func (l *Log) Sync() error {
 // permanently; the owner fail-stops and the next incarnation recovers the
 // prefix that truly reached the disk.
 func (l *Log) syncLocked() error {
-	if l.err != nil {
-		return l.err
+	if err := l.poisoned(); err != nil {
+		return err
 	}
 	if l.f == nil {
 		return nil
@@ -484,7 +550,7 @@ func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return l.poisonLocked(fmt.Errorf("wal: fsync: %w", err))
 	}
-	l.fsyncs++
+	l.fsyncs.Add(1)
 	l.unsynced = 0
 	return nil
 }
@@ -519,8 +585,9 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 	}
 	prev := l.snap
 	l.snap = &Snapshot{Seq: seq, Data: data}
-	l.snaps++
-	l.snapTime = time.Now()
+	l.snaps.Add(1)
+	l.snapSeq.Store(seq)
+	l.snapTime.Store(time.Now().UnixNano())
 	l.log.Info("wal snapshot", "seq", seq, "bytes", len(data))
 	l.hint = readHint{} // segment set is about to change
 	if seq > l.lastSeq {
@@ -532,10 +599,9 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 	// Truncation: a non-active segment whose entries are all covered by
 	// the snapshot will never be replayed or served again.
 	for len(l.segs) > 1 && l.segs[0].last <= seq {
-		if err := l.fsys.Remove(l.segs[0].path); err != nil && !os.IsNotExist(err) {
-			return l.poisonLocked(fmt.Errorf("wal: truncate: %w", err))
+		if err := l.removeFirstLocked(); err != nil {
+			return err
 		}
-		l.segs = l.segs[1:]
 	}
 	// When the snapshot covers the active segment too — always true for
 	// the cadence snapshot at the current cursor, and for a state
@@ -548,16 +614,28 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 		if err := l.f.Close(); err != nil {
 			return l.poisonLocked(fmt.Errorf("wal: %w", err))
 		}
-		for _, s := range l.segs {
-			if err := l.fsys.Remove(s.path); err != nil && !os.IsNotExist(err) {
-				return l.poisonLocked(fmt.Errorf("wal: truncate: %w", err))
+		for len(l.segs) > 0 {
+			if err := l.removeFirstLocked(); err != nil {
+				return err
 			}
 		}
-		l.segs = nil
 		if err := l.createSegment(seq + 1); err != nil {
 			return l.poisonLocked(err)
 		}
 	}
+	return nil
+}
+
+// removeFirstLocked deletes the oldest segment, which a snapshot has made
+// redundant.
+func (l *Log) removeFirstLocked() error {
+	s := l.segs[0]
+	if err := l.fsys.Remove(s.path); err != nil && !os.IsNotExist(err) {
+		return l.poisonLocked(fmt.Errorf("wal: truncate: %w", err))
+	}
+	l.segs = l.segs[1:]
+	l.segments.Store(int64(len(l.segs)))
+	l.bytes.Add(-s.size)
 	return nil
 }
 
@@ -567,30 +645,23 @@ func (l *Log) snapPath(seq uint64) string {
 
 // Stats snapshots the durability counters. Bytes counts the active
 // segment's buffered-but-unflushed tail too, so it tracks what Append has
-// accepted rather than what has hit the disk.
+// accepted rather than what has hit the disk. It takes no lock and touches
+// no file, so it never waits behind an fsync; the fields are each current
+// but not one coherent instant.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	st := Stats{
-		Segments:     len(l.segs),
-		Appends:      l.appends,
-		Fsyncs:       l.fsyncs,
-		Rotations:    l.rotates,
-		Snapshots:    l.snaps,
-		SnapshotTime: l.snapTime,
-		Repairs:      l.repairs,
-		Poisoned:     l.err != nil,
+		Segments:    int(l.segments.Load()),
+		Bytes:       l.bytes.Load(),
+		Appends:     l.appends.Load(),
+		Fsyncs:      l.fsyncs.Load(),
+		Rotations:   l.rotates.Load(),
+		Snapshots:   l.snaps.Load(),
+		SnapshotSeq: l.snapSeq.Load(),
+		Repairs:     l.repairs.Load(),
+		Poisoned:    l.poisoned() != nil,
 	}
-	if l.snap != nil {
-		st.SnapshotSeq = l.snap.Seq
-	}
-	for i := range l.segs[:max(len(l.segs)-1, 0)] {
-		if size, err := l.fsys.FileSize(l.segs[i].path); err == nil {
-			st.Bytes += size
-		}
-	}
-	if len(l.segs) > 0 {
-		st.Bytes += l.size
+	if t := l.snapTime.Load(); t != 0 {
+		st.SnapshotAge = time.Since(time.Unix(0, t))
 	}
 	return st
 }
@@ -600,15 +671,13 @@ func (l *Log) Stats() Stats {
 // creates and removes a marker file rather than testing permission bits,
 // so remounted-read-only and ENOSPC failures are caught too. A poisoned
 // log reports its sticky error without touching the disk: whatever the
-// probe would say now, the log already refused to trust this disk.
+// probe would say now, the log already refused to trust this disk. Like
+// Stats it takes no lock.
 func (l *Log) Writable() error {
-	l.mu.Lock()
-	dir, err := l.dir, l.err
-	l.mu.Unlock()
-	if err != nil {
+	if err := l.poisoned(); err != nil {
 		return err
 	}
-	f, err := l.fsys.CreateTemp(dir, ".probe-*")
+	f, err := l.fsys.CreateTemp(l.dir, ".probe-*")
 	if err != nil {
 		return fmt.Errorf("wal: not writable: %w", err)
 	}
@@ -625,8 +694,8 @@ func (l *Log) Writable() error {
 func (l *Log) Replay(after uint64, fn func(Entry) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	if err := l.poisoned(); err != nil {
+		return err
 	}
 	if l.w != nil {
 		if err := l.w.Flush(); err != nil {
@@ -662,11 +731,11 @@ func (l *Log) Replay(after uint64, fn func(Entry) error) error {
 func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []Entry, more bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
+	if err := l.poisoned(); err != nil {
 		// A poisoned member must not serve catch-up: its buffered tail
 		// never flushed, and flushing it now could write a partial record
 		// into the interior. Peers rotate to another server.
-		return nil, false, l.err
+		return nil, false, err
 	}
 	if l.w != nil {
 		if err := l.w.Flush(); err != nil {
@@ -722,10 +791,10 @@ var errPageFull = errors.New("wal: page full")
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	err := l.poisoned()
 	if l.f == nil {
-		return l.err
+		return err
 	}
-	err := l.err
 	if err == nil {
 		err = l.syncLocked()
 	}

@@ -370,8 +370,7 @@ func (f *FS) Truncate(path string, size int64) error {
 	return nil
 }
 
-func (f *FS) FileSize(path string) (int64, error) { return f.inner.FileSize(path) }
-func (f *FS) SyncDir(dir string) error            { return f.inner.SyncDir(dir) }
+func (f *FS) SyncDir(dir string) error { return f.inner.SyncDir(dir) }
 
 // file wraps one open file with the per-op fault rolls.
 type file struct {

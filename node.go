@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"fsr/admin"
 	"fsr/internal/core"
 	"fsr/internal/fd"
 	"fsr/internal/ring"
@@ -82,7 +83,8 @@ type Node struct {
 
 	views chan ViewInfo
 
-	// Durability (nil / zero without Config.DurableDir).
+	// Durability (nil / zero without Config.DurableDir). The order is written
+	// through clog; wlog serves catch-up reads and takes the cadence snapshot.
 	wlog      *wal.Log
 	sm        StateMachine
 	sinceSnap int         // messages applied since the last snapshot (pump-owned)
@@ -93,9 +95,10 @@ type Node struct {
 	// — it owns the applied frontier — and the shared serving engine:
 	// clients, subscription pagers, per-client writers and the encode-once
 	// fan-out.
-	sess *sessSrv
-	clog *serve.Log
-	srv  *serve.Server
+	sess  *sessSrv
+	clog  *serve.Log
+	srv   *serve.Server
+	admin *admin.Responder
 	// batchScratch is the pump's reusable buffer for the entries of the
 	// batch being applied (pump goroutine only).
 	batchScratch []wire.ClientEventEntry
@@ -128,11 +131,9 @@ type Node struct {
 	skippedUnknown uint64
 
 	// Hot-path scratch, event-loop-owned and reused across passes so the
-	// steady-state frame pipeline allocates nothing: the batch-capable
-	// transport (nil when the transport only does per-payload Send), the
-	// outbound frame being assembled, the pooled encode buffers of the
-	// current flush, and the engine delivery drain buffer.
-	batcher      transport.BatchSender
+	// steady-state frame pipeline allocates nothing: the outbound frame
+	// being assembled, the pooled encode buffers of the current flush, and
+	// the engine delivery drain buffer.
 	sendFrame    wire.Frame
 	sendBufs     []*wire.Buf
 	sendPayloads [][]byte
@@ -200,6 +201,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	// the engine starts exactly where the previous incarnation stopped.
 	var (
 		wlog        *wal.Log
+		clog        *serve.Log
 		applied     uint64
 		startLocal  uint64
 		incarnation uint64
@@ -251,6 +253,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		}
 		incarnation = wlog.Generation()
 		startLocal = incarnation << incarnationBits
+		clog = serve.NewWALLog(wlog, applied, appSnapshot)
 	} else {
 		// No durable identity: a boot timestamp keeps incarnations of one
 		// ID monotone enough for the membership layer's restart handling,
@@ -261,6 +264,10 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		now := uint64(time.Now().UnixNano())
 		incarnation = now
 		startLocal = ((now >> 22) & (1<<24 - 1)) << incarnationBits
+		// No durable log: retain a bounded in-memory tail of the applied
+		// order for subscribers. The horizon rises past anything this
+		// member never delivered (a joiner's missed prefix, holes).
+		clog = serve.NewRingLog(memberTailCap, appSnapshot)
 	}
 
 	engine, err := core.NewEngine(core.Config{
@@ -270,9 +277,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		StartLocal:   startLocal,
 	}, view)
 	if err != nil {
-		if wlog != nil {
-			_ = wlog.Close()
-		}
+		_ = clog.Close()
 		return nil, err
 	}
 
@@ -282,6 +287,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		log:      nodeLog,
 		engine:   engine,
 		wlog:     wlog,
+		clog:     clog,
 		sm:       cfg.StateMachine,
 		inbox:    make(chan inboundPayload, 4096),
 		bcast:    make(chan bcastReq),
@@ -295,21 +301,8 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		lastView: viewInfo(view),
 	}
 	n.outCond = sync.NewCond(&n.outMu)
-	n.batcher, _ = tr.(transport.BatchSender)
 	n.sess = newSessSrv(n)
 	n.sess.index = index
-	if wlog != nil {
-		// Snapshots are node-level; subscribers get the application part.
-		n.clog = serve.NewWALLog(wlog, applied, func(stored []byte) []byte {
-			_, app := openSnapshot(stored)
-			return app
-		})
-	} else {
-		// No durable log: retain a bounded in-memory tail of the applied
-		// order for subscribers. The horizon rises past anything this
-		// member never delivered (a joiner's missed prefix, holes).
-		n.clog = serve.NewRingLog(memberTailCap)
-	}
 
 	n.fdet, err = fd.New(fd.Config{
 		Self:     cfg.Self,
@@ -324,9 +317,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		},
 	})
 	if err != nil {
-		if wlog != nil {
-			_ = wlog.Close()
-		}
+		_ = clog.Close()
 		return nil, err
 	}
 
@@ -347,9 +338,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		},
 	}, view)
 	if err != nil {
-		if wlog != nil {
-			_ = wlog.Close()
-		}
+		_ = clog.Close()
 		return nil, err
 	}
 	if !cfg.Joiner {
@@ -357,6 +346,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 
 	n.srv = n.newServe()
+	n.admin = n.newAdmin()
 
 	tr.SetHandler(func(from transport.ProcID, payload []byte) {
 		select {
@@ -372,6 +362,13 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	go n.loop()
 	go n.deliveryPump()
 	return n, nil
+}
+
+// appSnapshot is what a subscriber is handed from a snapshot as a member
+// stores it: snapshots are node-level, the publish index rides in front.
+func appSnapshot(stored []byte) []byte {
+	_, app := openSnapshot(stored)
+	return app
 }
 
 // viewInfo converts an installed core view into the public shape.
@@ -484,9 +481,7 @@ func (n *Node) Stop() {
 	n.srv.Shutdown()
 	_ = n.tr.Close()
 	n.srv.Wait()
-	if n.wlog != nil {
-		_ = n.wlog.Close()
-	}
+	_ = n.clog.Close()
 }
 
 // Applied returns the highest message sequence number this node has
@@ -518,12 +513,7 @@ func (n *Node) Ready() error {
 	if catching {
 		return errors.New("fsr: catching up on missed history")
 	}
-	if n.wlog != nil {
-		if err := n.wlog.Writable(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.clog.Writable()
 }
 
 // TriggerSnapshot asks the delivery pump to take a state-machine snapshot
@@ -802,22 +792,8 @@ func (n *Node) snapshotMetrics() Metrics {
 	m.SessionBounded = n.sess.pubsBounded
 	m.PublishLatency = n.sess.pubLatency
 	n.sess.mu.Unlock()
-	if n.wlog != nil {
-		ws := n.wlog.Stats()
-		m.WAL = WALMetrics{
-			Segments:    ws.Segments,
-			Bytes:       ws.Bytes,
-			Appends:     ws.Appends,
-			Fsyncs:      ws.Fsyncs,
-			Rotations:   ws.Rotations,
-			Snapshots:   ws.Snapshots,
-			SnapshotSeq: ws.SnapshotSeq,
-			Repairs:     ws.Repairs,
-			Poisoned:    ws.Poisoned,
-		}
-		if !ws.SnapshotTime.IsZero() {
-			m.WAL.SnapshotAge = time.Since(ws.SnapshotTime)
-		}
+	if ws, ok := n.clog.WALStats(); ok {
+		m.WAL = WALMetrics(ws)
 	}
 	st2 := n.srv.Stats()
 	m.SessionSubscribers = st2.Subs
@@ -841,30 +817,6 @@ func (n *Node) sendReady() bool {
 	if !ok || succ == n.cfg.Self {
 		return false
 	}
-	if n.batcher == nil {
-		// Transport without batch support: per-frame sends; each encoded
-		// buffer's ownership passes to the transport, so no pooling here.
-		sent := false
-		for {
-			f, ok := n.engine.NextFrame()
-			if !ok {
-				break
-			}
-			f.Ver = n.cfg.WireVersion
-			if err := n.tr.Send(succ, wire.EncodeFrame(f)); err != nil {
-				// Successor unreachable: the FD takes it from here.
-				if sent {
-					n.deliver()
-				}
-				return false
-			}
-			sent = true
-		}
-		if sent {
-			n.deliver()
-		}
-		return sent
-	}
 	n.sendFrame.Ver = n.cfg.WireVersion
 	for n.engine.FillFrame(&n.sendFrame) {
 		b := wire.GetBuf()
@@ -877,7 +829,7 @@ func (n *Node) sendReady() bool {
 	}
 	// SendBatch leaves buffer ownership with the caller, so the pooled
 	// encode buffers recycle immediately after the (single) write.
-	err := n.batcher.SendBatch(succ, n.sendPayloads)
+	err := n.tr.SendBatch(succ, n.sendPayloads)
 	for i := range n.sendBufs {
 		wire.PutBuf(n.sendBufs[i])
 		n.sendBufs[i] = nil
@@ -981,7 +933,7 @@ func (n *Node) handlePayload(in inboundPayload) {
 	case wire.KindClient:
 		n.srv.Handle(in.from, in.payload)
 	case wire.KindAdmin:
-		n.handleAdmin(in.from, in.payload)
+		n.admin.Handle(in.from, in.payload)
 	default:
 		// Unknown channel kind — a future minor's new sub-protocol. The
 		// compat policy (wire version.go) says skip, never fail: the sender
@@ -1400,12 +1352,13 @@ func (n *Node) pumpReadyLocked() bool {
 // applyBatch runs one pump batch through the durability pipeline: open
 // each message's envelope (filtering duplicate client publishes out of the
 // order — a deterministic decision, every member's index evolves from the
-// same applied prefix), append every surviving message to the WAL, fsync
-// once, fold into the state machine, commit the batch to the Log (which
-// moves the applied frontier and wakes subscribers), then acknowledge the
-// batch's publishes — a PUBACK to a client, the Receipt of a local one; the
-// only place either kind resolves — fan it out to attached subscribers and
-// take a snapshot if the cadence is due.
+// same applied prefix), append every surviving message to the Log and fold
+// it into the state machine, sync the Log once — a member acknowledges what
+// it commits, so the batch is durable before it is visible — commit the
+// batch (which moves the applied frontier and wakes subscribers), then
+// acknowledge the batch's publishes — a PUBACK to a client, the Receipt of
+// a local one; the only place either kind resolves — fan it out to attached
+// subscribers and take a snapshot if the cadence is due.
 //
 // Recovered history and live messages are merged by sequence number (both
 // streams arrive ascending), so the state machine always sees the total
@@ -1438,28 +1391,21 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 		if dup {
 			return nil // duplicate client publish: filtered from the order
 		}
-		if n.wlog != nil {
-			err := n.wlog.Append(wal.Entry{
-				Seq:       final.Seq,
-				Origin:    uint32(final.Origin),
-				LogicalID: final.LogicalID,
-				Payload:   final.Payload,
-			})
-			if err != nil {
-				return err
-			}
-			appended = true
-		}
-		if n.sm != nil {
-			n.sm.Apply(final)
-		}
-		n.sinceSnap++
-		entries = append(entries, wire.ClientEventEntry{
+		entry := wire.ClientEventEntry{
 			Seq:     final.Seq,
 			Origin:  final.Origin,
 			Logical: final.LogicalID,
 			Payload: final.Payload,
-		})
+		}
+		if err := n.clog.Append(entry); err != nil {
+			return err
+		}
+		appended = true
+		if n.sm != nil {
+			n.sm.Apply(final)
+		}
+		n.sinceSnap++
+		entries = append(entries, entry)
 		return nil
 	}
 	applyRecovered := func(it catchItem) error {
@@ -1479,10 +1425,8 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 				return fmt.Errorf("fsr: restore transferred snapshot at %d: %w", it.snap.Seq, err)
 			}
 		}
-		if n.wlog != nil {
-			if err := n.wlog.WriteSnapshot(it.snap.Seq, it.snap.Data); err != nil {
-				return err
-			}
+		if err := n.clog.InstallSnapshot(it.snap.Seq, it.snap.Data); err != nil {
+			return err
 		}
 		cursor = it.snap.Seq
 		snapJump = true
@@ -1511,7 +1455,7 @@ func (n *Node) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 		ri++
 	}
 	if appended {
-		if err := n.wlog.Sync(); err != nil {
+		if err := n.clog.Sync(); err != nil {
 			return err
 		}
 	}

@@ -1,113 +1,67 @@
 package fsr
 
 import (
-	"encoding/json"
 	"time"
 
 	"fsr/admin"
 	"fsr/internal/wire"
 )
 
-// handleAdmin answers one KindAdmin request on the event loop. The reply
-// travels back over the inbound connection the request arrived on (the same
-// path serveCatchup uses), so it reaches dialed-in admin clients that have
-// no listener of their own. All state is read through the same snapshot
-// paths Metrics uses; nothing here touches the frame hot path.
-func (n *Node) handleAdmin(from ProcID, payload []byte) {
-	v, err := wire.DecodeAdmin(payload)
-	if err != nil {
-		return // garbage; no reply channel to speak of
+// newAdmin builds the member's admin responder: the shared one, handed what
+// only a ring member knows — its view, and the membership ops. The event
+// loop calls its Handle, so the callbacks read loop-owned state directly.
+func (n *Node) newAdmin() *admin.Responder {
+	return &admin.Responder{
+		Transport: n.tr,
+		Log:       n.clog,
+		Server:    n.srv,
+		Ready:     n.Ready,
+		Role:      "member",
+		Status: func(s *admin.Status) {
+			s.CatchingUp, s.IsLeader = n.catch != nil, n.engine.IsLeader()
+		},
+		Members: func() admin.Members {
+			view := n.CurrentView()
+			m := admin.Members{Epoch: view.ID, T: view.T}
+			for _, id := range view.Members {
+				m.IDs = append(m.IDs, uint32(id))
+			}
+			if len(m.IDs) > 0 {
+				m.Leader = m.IDs[0]
+			}
+			return m
+		},
+		Publishes: func() (accepted, duplicates, bounded uint64) {
+			n.sess.mu.Lock()
+			defer n.sess.mu.Unlock()
+			return n.sess.pubsAccepted, n.sess.dupsFiltered, n.sess.pubsBounded
+		},
+		Op: n.adminOp,
 	}
-	req, ok := v.(*wire.AdminReq)
-	if !ok {
-		return // a stray response; nodes only serve
-	}
-	resp := wire.AdminResp{Op: req.Op}
-	var body any
+}
+
+// adminOp answers the member-only admin ops.
+func (n *Node) adminOp(req *wire.AdminReq) any {
 	switch req.Op {
-	case wire.AdminStatus:
-		view := n.CurrentView()
-		s := admin.Status{
-			Role:       "member",
-			ID:         uint32(n.cfg.Self),
-			Epoch:      view.ID,
-			Applied:    n.Applied(),
-			CatchingUp: n.catch != nil,
-			IsLeader:   n.engine.IsLeader(),
-		}
-		if len(view.Members) > 0 {
-			s.Leader = uint32(view.Members[0])
-		}
-		if err := n.Ready(); err != nil {
-			s.ReadyErr = err.Error()
-		} else {
-			s.Ready = true
-		}
-		body = &s
-	case wire.AdminMembers:
-		view := n.CurrentView()
-		m := admin.Members{Epoch: view.ID, T: view.T}
-		for _, id := range view.Members {
-			m.IDs = append(m.IDs, uint32(id))
-		}
-		if len(m.IDs) > 0 {
-			m.Leader = m.IDs[0]
-		}
-		body = &m
-	case wire.AdminWAL:
-		w := admin.WALInfo{}
-		if n.wlog != nil {
-			ws := n.wlog.Stats()
-			w = admin.WALInfo{
-				Durable:     true,
-				Segments:    ws.Segments,
-				Bytes:       ws.Bytes,
-				Appends:     ws.Appends,
-				Fsyncs:      ws.Fsyncs,
-				Rotations:   ws.Rotations,
-				Snapshots:   ws.Snapshots,
-				SnapshotSeq: ws.SnapshotSeq,
-				Repairs:     ws.Repairs,
-			}
-			if !ws.SnapshotTime.IsZero() {
-				w.SnapshotAgeMillis = time.Since(ws.SnapshotTime).Milliseconds()
-			}
-		}
-		body = &w
-	case wire.AdminSessions:
-		n.sess.mu.Lock()
-		s := admin.Sessions{
-			Publishes:  n.sess.pubsAccepted,
-			Duplicates: n.sess.dupsFiltered,
-			Bounded:    n.sess.pubsBounded,
-		}
-		n.sess.mu.Unlock()
-		st := n.srv.Stats()
-		s.Subscribers = st.Subs
-		s.TailAttached = st.TailAttached
-		s.EdgeClients = st.EdgeClients
-		s.TailFrames = st.TailFrames
-		s.TailDetaches = st.TailDetaches
-		body = &s
 	case wire.AdminSnapshot:
 		r := admin.SnapshotResult{Triggered: n.TriggerSnapshot()}
 		if !r.Triggered {
 			r.Reason = "no durable log or state machine"
 		}
-		body = &r
+		return &r
 	case wire.AdminEvict:
 		// Force a member out of the view — the operator override for a
 		// wedged or half-partitioned process the detector has not (or
-		// cannot) act on. handleAdmin runs on the event loop, so the
-		// membership manager may be called directly; the request is
-		// relayed to the coordinator when this node is not it, and
-		// evicting ourselves degrades to a graceful departure.
+		// cannot) act on. This runs on the event loop, so the membership
+		// manager may be called directly; the request is relayed to the
+		// coordinator when this node is not it, and evicting ourselves
+		// degrades to a graceful departure.
 		r := admin.EvictResult{Target: req.Target,
 			Requested: n.mgr.RequestEvict(ProcID(req.Target), time.Now())}
 		if !r.Requested {
 			r.Reason = "no installed view, or target not a member of it"
 		}
-		body = &r
+		return &r
 	case wire.AdminJoinHint:
 		// Hand an unadmitted joiner a contact list to request admission
 		// through — the operator nudge for a process that restarted with a
@@ -130,17 +84,7 @@ func (n *Node) handleAdmin(from ProcID, payload []byte) {
 		default:
 			r.Reason = "a join request is already queued"
 		}
-		body = &r
-	default:
-		resp.Err = "unknown admin op"
+		return &r
 	}
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Body = b
-		}
-	}
-	_ = n.tr.Send(from, wire.EncodeAdminResp(&resp))
+	return nil
 }

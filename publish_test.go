@@ -2,6 +2,7 @@ package fsr_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"sync"
@@ -9,7 +10,9 @@ import (
 	"time"
 
 	"fsr"
+	"fsr/admin"
 	"fsr/internal/wal"
+	"fsr/internal/wire"
 	"fsr/transport/mem"
 )
 
@@ -69,11 +72,11 @@ func (f heldFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestReceiptWaitsForDurability: an in-process publish resolves where a
-// remote one is acknowledged — after the batch's fsync, not at local
-// delivery. The publishing member's disk holds its fsync; the receipt must
-// stay open while it does and resolve, applied, once it lets go.
-func TestReceiptWaitsForDurability(t *testing.T) {
+// heldDiskMember starts three durable members on network (nil: a private
+// one), member 1 on a heldFS, and returns that disk and member once a
+// warm-up publish has committed through it.
+func heldDiskMember(t *testing.T, network *mem.Network) (*heldFS, *fsr.Node) {
+	t.Helper()
 	disk := newHeldFS()
 	c, err := fsr.NewCluster(fsr.ClusterConfig{
 		N: 3, T: 1, NodeConfig: fastConfig(), DurableDir: t.TempDir(),
@@ -83,18 +86,27 @@ func TestReceiptWaitsForDurability(t *testing.T) {
 			}
 			return nil
 		},
-	}, fsr.MemTransport(nil))
+	}, fsr.MemTransport(network))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
 	node := c.Node(1)
-	ctx := context.Background()
-	warm, err := node.Session().Publish(ctx, []byte("warm-up"))
+	warm, err := node.Session().Publish(context.Background(), []byte("warm-up"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitReceipt(t, warm, 20*time.Second)
+	return disk, node
+}
+
+// TestReceiptWaitsForDurability: an in-process publish resolves where a
+// remote one is acknowledged — after the batch's fsync, not at local
+// delivery. The publishing member's disk holds its fsync; the receipt must
+// stay open while it does and resolve, applied, once it lets go.
+func TestReceiptWaitsForDurability(t *testing.T) {
+	disk, node := heldDiskMember(t, nil)
+	ctx := context.Background()
 
 	disk.hold()
 	defer disk.release() // on a failure too, or Stop's pump never drains
@@ -120,6 +132,60 @@ func TestReceiptWaitsForDurability(t *testing.T) {
 	if applied := node.Applied(); applied < r.Seq() {
 		t.Fatalf("receipt resolved at seq %d, Applied() is %d", r.Seq(), applied)
 	}
+}
+
+// TestScrapeDoesNotWaitForFsync: Metrics() and the admin wal and status ops
+// are answered on the member's event loop, so they must not take the lock
+// the WAL holds across a whole fsync — a scrape would stall the protocol
+// for as long as the disk does. The member's disk holds an fsync; all three
+// must answer while it is still held.
+func TestScrapeDoesNotWaitForFsync(t *testing.T) {
+	network := mem.NewNetwork(mem.Options{})
+	disk, node := heldDiskMember(t, network)
+	ctx := context.Background()
+	ep, resp := adminEndpoint(t, network, fsr.ClientIDBase+0x500)
+
+	disk.hold()
+	defer disk.release() // on a failure too, or Stop's pump never drains
+	r, err := node.Session().Publish(ctx, []byte("stuck in fsync"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-disk.entered: // the pump is inside wal.Sync, holding the WAL's lock
+	case <-time.After(20 * time.Second):
+		t.Fatal("the publish never reached its fsync")
+	}
+
+	scraped := make(chan fsr.Metrics, 1)
+	go func() { scraped <- node.Metrics() }()
+	select {
+	case m := <-scraped:
+		if m.WAL.Appends < 2 || m.WAL.Segments < 1 || m.WAL.Poisoned {
+			t.Errorf("Metrics().WAL during the fsync = %+v, want both appends counted", m.WAL)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Metrics() waited for the held fsync")
+	}
+	var w admin.WALInfo
+	if p := adminSend(t, ep, resp, node.Self(), &wire.AdminReq{Op: wire.AdminWAL}, time.Second); p.Err != "" {
+		t.Fatalf("admin wal refused: %s", p.Err)
+	} else if err := json.Unmarshal(p.Body, &w); err != nil || !w.Durable || w.Appends < 2 {
+		t.Errorf("admin wal during the fsync = %+v (%v)", w, err)
+	}
+	var st admin.Status
+	if p := adminSend(t, ep, resp, node.Self(), &wire.AdminReq{Op: wire.AdminStatus}, time.Second); p.Err != "" {
+		t.Fatalf("admin status refused: %s", p.Err)
+	} else if err := json.Unmarshal(p.Body, &st); err != nil || !st.Ready {
+		t.Errorf("admin status during the fsync = %+v (%v)", st, err)
+	}
+	select {
+	case <-r.Delivered():
+		t.Fatal("the fsync was not held for the whole scrape: the receipt resolved")
+	default:
+	}
+	disk.release()
+	waitReceipt(t, r, 20*time.Second)
 }
 
 // TestReceiptReadYourWrites: the moment a receipt resolves, the publishing

@@ -433,10 +433,7 @@ type endpoint struct {
 	inner transport.Transport
 }
 
-var (
-	_ transport.Transport   = (*endpoint)(nil)
-	_ transport.BatchSender = (*endpoint)(nil)
-)
+var _ transport.Transport = (*endpoint)(nil)
 
 func (e *endpoint) Self() transport.ProcID         { return e.inner.Self() }
 func (e *endpoint) SetHandler(h transport.Handler) { e.inner.SetHandler(h) }
@@ -459,7 +456,7 @@ func (e *endpoint) Send(to transport.ProcID, payload []byte) error {
 	return l.enqueue(payload)
 }
 
-// SendBatch implements transport.BatchSender by looping over the injection
+// SendBatch implements transport.Transport by looping over the injection
 // queue, so every frame of a batch still gets its own seeded delay draw
 // and the injection schedule stays a pure function of the per-link frame
 // index. The link (and the inner transport behind it) retains payloads

@@ -161,10 +161,7 @@ type item struct {
 	due     time.Time
 }
 
-var (
-	_ transport.Transport   = (*Endpoint)(nil)
-	_ transport.BatchSender = (*Endpoint)(nil)
-)
+var _ transport.Transport = (*Endpoint)(nil)
 
 // Self implements transport.Transport.
 func (e *Endpoint) Self() transport.ProcID { return e.id }
@@ -207,7 +204,7 @@ func (e *Endpoint) Send(to transport.ProcID, payload []byte) error {
 	return e.net.route(item{from: e.id, payload: payload, due: due}, to)
 }
 
-// SendBatch implements transport.BatchSender by looping over Send. The
+// SendBatch implements transport.Transport by looping over Send. The
 // receiver's queue retains payloads, while the batch contract leaves the
 // buffers with the caller — so each payload is copied here; the in-memory
 // hub pays one allocation per frame where real sockets pay a syscall.

@@ -98,10 +98,7 @@ type Transport struct {
 	wg sync.WaitGroup
 }
 
-var (
-	_ transport.Transport   = (*Transport)(nil)
-	_ transport.BatchSender = (*Transport)(nil)
-)
+var _ transport.Transport = (*Transport)(nil)
 
 // peerConn is one dialed outbound connection plus its write state. Writes
 // to one peer serialize on the peer's own mutex — never on the transport
@@ -272,7 +269,7 @@ func (t *Transport) Send(to transport.ProcID, payload []byte) error {
 	return t.send(to, payload)
 }
 
-// SendBatch implements transport.BatchSender: the payloads go out in order
+// SendBatch implements transport.Transport: the payloads go out in order
 // as one length-prefixed vectored write — a single syscall for the whole
 // batch on the common path. The buffers are fully written (or the batch has
 // failed) by return, so the caller may reuse them immediately.

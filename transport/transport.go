@@ -6,7 +6,9 @@
 // Two implementations ship with the module: transport/mem (in-process, for
 // tests, examples and single-binary clusters) and transport/tcp (real
 // sockets). Applications can supply their own Transport — anything providing
-// reliable per-destination FIFO unicast runs the identical protocol stack.
+// reliable per-destination FIFO unicast runs the identical protocol stack;
+// one with no cheaper way to send several payloads at once implements
+// SendBatch as a loop over Send on copies, as transport/mem does.
 // The discrete-event simulator in internal/netsim does not use this
 // interface — it models link timing explicitly.
 package transport
@@ -36,19 +38,18 @@ var (
 // payload buffer is owned by the handler after the call.
 type Handler func(from ProcID, payload []byte)
 
-// BatchSender is an optional Transport capability for the hot frame path:
-// SendBatch queues several payloads to one peer in order, as one network
-// operation where the backend allows (transport/tcp turns a batch into a
-// single vectored write). Two contract differences from Send:
+// BatchSender is the part of Transport the hot paths send through — ring
+// frames to the successor, EVENT frames to a subscriber: SendBatch queues
+// several payloads to one peer in order, as one network operation where the
+// backend allows (transport/tcp turns a batch into a single vectored
+// write). Two contract differences from Send:
 //
 //   - Ordering: the payloads are delivered in slice order, FIFO with
 //     respect to every other Send/SendBatch to the same destination.
 //   - Ownership: the payload buffers remain owned by the CALLER once
 //     SendBatch returns — the implementation must have fully transmitted
-//     or copied them. This is what lets the node recycle encode buffers.
-//
-// Runtimes type-assert for this interface and fall back to per-payload
-// Send when it is absent, so custom transports need not implement it.
+//     or copied them. This is what lets the node recycle encode buffers
+//     and one encoded frame be shared by every subscriber.
 type BatchSender interface {
 	SendBatch(to ProcID, payloads [][]byte) error
 }
@@ -62,6 +63,8 @@ type Transport interface {
 	// the network; delivery is asynchronous but reliable and FIFO per
 	// destination as long as neither endpoint crashes.
 	Send(to ProcID, payload []byte) error
+	// BatchSender is Send for several payloads, which stay the caller's.
+	BatchSender
 	// SetHandler installs the inbound payload handler. It must be called
 	// before any traffic arrives; implementations buffer until then.
 	SetHandler(h Handler)
