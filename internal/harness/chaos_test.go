@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,36 +36,55 @@ func seedBase(t *testing.T) (base int64, pinned bool) {
 }
 
 // TestScenarioDeterminism: a seed fully determines the scenario — the plan
-// renders byte-for-byte identically across generations, and the chaos
-// transport's injection schedule is likewise seed-pure (covered by
-// transport/chaos tests). This is what makes the printed repro line honest.
+// renders byte-for-byte as testdata/plans.golden recorded it, for seeds
+// -3..99, the regression range and every pinned seed, at both workload
+// scales. The chaos transport's injection schedule is likewise seed-pure
+// (covered by transport/chaos tests). This is what makes the printed repro
+// line honest, and what keeps a pinned seed or a ledger rate meaning the
+// same schedule across refactors: a shifted random draw fails here. The
+// golden file is never regenerated to make this pass.
 func TestScenarioDeterminism(t *testing.T) {
-	for seed := int64(-3); seed < 40; seed++ {
-		a, b := Generate(seed, false).String(), Generate(seed, false).String()
-		if a != b {
-			t.Fatalf("seed %d generated two different scenarios:\n%s\n%s", seed, a, b)
+	data, err := os.ReadFile("testdata/plans.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := make(map[int64]bool)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		want, soak := strings.CutPrefix(line, "soak ")
+		var seed int64
+		if _, err := fmt.Sscanf(want, "seed=%d ", &seed); err != nil {
+			t.Fatalf("golden line %q: %v", line, err)
 		}
-		if c := Generate(seed+1, false).String(); a == c {
-			t.Fatalf("seeds %d and %d generated identical scenarios", seed, seed+1)
+		if got := Generate(seed, soak).String(); got != want {
+			t.Errorf("seed %d (soak %v) plan changed:\n got %s\nwant %s", seed, soak, got, want)
 		}
-		if soak := Generate(seed, true); soak.Messages <= Generate(seed, false).Messages {
-			t.Fatalf("seed %d: soak scenario not scaled up", seed)
+		planned[seed] = true
+	}
+	for i := range int64(regressionCount) {
+		if !planned[regressionBase+i] {
+			t.Errorf("regression seed %d has no golden plan", regressionBase+i)
+		}
+	}
+	for _, p := range pinnedSeeds {
+		if !planned[p.seed] {
+			t.Errorf("pinned seed %d has no golden plan", p.seed)
 		}
 	}
 }
 
-// TestScenarioCoverage: any window of `profiles` consecutive seeds covers
-// every coverage class, so the default 50-scenario run always includes
-// leader crashes, crash-restarts with catch-up and membership churn.
+// TestScenarioCoverage: any window of len(profiles) consecutive seeds
+// covers every coverage class, so the default 50-scenario run always
+// includes leader crashes, crash-restarts with catch-up and membership
+// churn.
 func TestScenarioCoverage(t *testing.T) {
 	base := time.Now().UnixNano()
 	classes := make(map[string]bool)
-	for i := int64(0); i < profiles; i++ {
-		classes[profileName(Generate(base+i, false))] = true
+	for i := range int64(len(profiles)) {
+		classes[profileOf(base+i).name] = true
 	}
-	for _, want := range []string{"timing-only", "leader-crash+restart", "follower-crash+restart", "membership-churn", "client-sessions", "edge-replicas", "hostile-disk", "asym-partition", "wan-geo", "rolling-upgrade"} {
-		if !classes[want] {
-			t.Fatalf("class %q missing from %d consecutive seeds (base %d)", want, profiles, base)
+	for _, p := range profiles {
+		if !classes[p.name] {
+			t.Fatalf("class %q missing from %d consecutive seeds (base %d)", p.name, len(profiles), base)
 		}
 	}
 }
@@ -116,7 +136,7 @@ func TestChaos(t *testing.T) {
 	// segment end to end (engine batching -> codec -> chaos injection ->
 	// engine). A single pinned replay or a heavily trimmed run is exempt —
 	// one scenario's traffic may legitimately never bunch.
-	if !pinned && count >= 10 && MultiSegFramesObserved() == 0 {
+	if !pinned && count >= 10 && multiSegFrames.Load() == 0 {
 		t.Errorf("no multi-segment frame observed across %d scenarios: engine batching is not being exercised by chaos traffic", count)
 	}
 	// Coverage guard for reassembly: payloads run up to 1.5 × SegmentSize,
@@ -126,87 +146,88 @@ func TestChaos(t *testing.T) {
 	if !pinned && count >= 10 && (extra < 0.15 || extra > 0.6) {
 		t.Errorf("%.2f extra segments per message across %d scenarios, want about 0.3: chaos traffic no longer straddles the segment boundary as intended", extra, count)
 	}
+	// Coverage guard for eviction recovery (ledger row I): a member evicted
+	// on false suspicion must have been restarted and held to the checks
+	// as a live member somewhere in the run — the asym-partition seeds
+	// evict routinely.
+	if !pinned && count >= 10 && evictedRejoins.Load() == 0 {
+		t.Errorf("no evicted member was restarted and live at quiescence across %d scenarios: eviction recovery escapes the checks", count)
+	}
 }
 
-// TestChaosHostileDiskPinned replays a fixed set of hostile-disk scenarios
-// (seeds ≡ 6 mod profiles) every run: a durable member rides a seeded
-// fault-injecting filesystem — torn writes, failing and lying fsyncs,
-// ENOSPC, bit flips — under client traffic, crashes, and restarts, and the
-// checker holds the cluster to acked⇒durable. Pinned seeds keep known-
-// nasty schedules in every CI run; TestChaos layers fresh random ones on
-// top. The name contains "Chaos" so CI's -run Chaos selects it.
-func TestChaosHostileDiskPinned(t *testing.T) {
-	if _, pinned := seedBase(t); pinned {
+// pinnedSeeds are known-nasty schedules every run replays, on top of
+// TestChaos's fresh ones. why names the ledger row (ROADMAP) or bug the
+// seed reproduced, or the class it keeps covered; soak runs the seed at
+// soak workload scale.
+var pinnedSeeds = []struct {
+	profile string
+	seed    int64
+	soak    bool
+	why     string
+}{
+	// A durable member on a seeded fault-injecting filesystem — torn
+	// writes, failing and lying fsyncs, ENOSPC, bit flips — under client
+	// traffic, crashes and restarts, held to acked⇒durable.
+	{"hostile-disk", 6, false, "coverage"},
+	{"hostile-disk", 16, false, "coverage"},
+	{"hostile-disk", 26, false, "coverage"},
+	{"hostile-disk", 36, false, "coverage"},
+	{"hostile-disk", 46, false, "coverage"},
+	{"hostile-disk", 56, false, "coverage"},
+	{"hostile-disk", 66, false, "row A"},
+	{"hostile-disk", 76, false, "coverage"},
+	// Row A: a lying fsync on a segment that is then rotated, and the
+	// restart replayed over the hole ("agreement violated") until Open
+	// learned to walk the segment chain.
+	{"hostile-disk", 1790963375009748766, false, "row A"},
+	{"hostile-disk", 1790452026961468556, false, "row A"},
+	{"hostile-disk", 1790461552936404646, false, "row A"},
+	{"hostile-disk", 1790488432652460126, false, "row A"},
+	// One-way blackholes and flapping ring edges driving false suspicion,
+	// eviction, restart and state-transfer rejoin.
+	{"asym-partition", 7, false, "coverage"},
+	{"asym-partition", 17, false, "coverage"},
+	{"asym-partition", 27, false, "coverage"},
+	// Row B: a member left behind in an old view ("receipt … never
+	// resolved" with the others in a newer view) until the stale-view
+	// fence.
+	{"asym-partition", 1790963247781506137, false, "row B"},
+	{"asym-partition", 1792164924857650437, false, "row B"},
+	{"asym-partition", 1790488237000856887, false, "row B"},
+	{"asym-partition", 1790448515376767927, false, "row B"},
+	{"asym-partition", 1791126109252717397, false, "row B"},
+	{"asym-partition", 1792164713762910507, false, "row B"},
+	// The whole ring on a WAN-shaped geo latency matrix.
+	{"wan-geo", 8, false, "coverage"},
+	{"wan-geo", 18, false, "coverage"},
+	// Bug #17: under continental ack latency a member's backpressure
+	// dropped one client publish while accepting its successors, and the
+	// client's sorted retry committed it BEHIND them — an interior hole in
+	// the per-origin FIFO stream. Fixed by sessSrv's per-client gate (see
+	// TestClientPubFIFOGate in the root package).
+	{"wan-geo", 1786170100913705138, true, "bug #17"},
+	// Every member restarted one at a time under traffic, its wire version
+	// flipped old→new.
+	{"rolling-upgrade", 9, false, "coverage"},
+	{"rolling-upgrade", 19, false, "coverage"},
+	{"rolling-upgrade", 29, false, "row C"},
+}
+
+// TestChaosPinned replays the pinned table. Each row first checks that its
+// seed still generates the profile it names. The name contains "Chaos" so
+// CI's -run Chaos selects it.
+func TestChaosPinned(t *testing.T) {
+	if _, replay := seedBase(t); replay {
 		t.Skip("FSR_SEED replay runs through TestChaos")
 	}
-	for _, seed := range []int64{6, 16, 26, 36, 46, 56, 66, 76,
-		// Ledger row A (ROADMAP): a lying fsync on a segment that is then
-		// rotated, and the restart replayed over the hole ("agreement
-		// violated") until Open learned to walk the segment chain. 66 above
-		// is one of them.
-		1790963375009748766, 1790452026961468556, 1790461552936404646, 1790488432652460126,
-	} {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			sc := Generate(seed, false)
-			if got := profileName(sc); got != "hostile-disk" {
-				t.Fatalf("seed %d generated profile %q, want hostile-disk", seed, got)
+	for _, p := range pinnedSeeds {
+		t.Run(fmt.Sprintf("seed-%d", p.seed), func(t *testing.T) {
+			if got := profileOf(p.seed).name; got != p.profile {
+				t.Fatalf("seed %d (%s) generated profile %q, want %s", p.seed, p.why, got, p.profile)
 			}
-			RunScenario(t, sc)
+			Run(t, p.seed, p.soak)
 		})
 	}
-}
-
-// TestChaosHostileNetPinned replays a fixed set of hostile-network
-// scenarios every run: asymmetric partitions (seeds ≡ 7 mod profiles,
-// one-way blackholes and flapping ring edges driving false suspicion,
-// eviction and rejoin), WAN geo latency matrices (≡ 8), and version-skew
-// rolling upgrades (≡ 9, every member restarted one at a time under
-// traffic with the wire version flipped old→new). Pinned seeds keep
-// known-nasty schedules in every CI run; TestChaos layers fresh random
-// ones on top. The name contains "Chaos" so CI's -run Chaos selects it.
-func TestChaosHostileNetPinned(t *testing.T) {
-	if _, pinned := seedBase(t); pinned {
-		t.Skip("FSR_SEED replay runs through TestChaos")
-	}
-	for _, tc := range []struct {
-		profile string
-		seeds   []int64
-	}{
-		{"asym-partition", []int64{7, 17, 27}},
-		{"wan-geo", []int64{8, 18}},
-		{"rolling-upgrade", []int64{9, 19, 29}},
-	} {
-		for _, seed := range tc.seeds {
-			t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-				sc := Generate(seed, false)
-				if got := profileName(sc); got != tc.profile {
-					t.Fatalf("seed %d generated profile %q, want %s", seed, got, tc.profile)
-				}
-				RunScenario(t, sc)
-			})
-		}
-	}
-}
-
-// TestChaosWanGeoSoakPinned replays, at soak workload scale, the wan-geo
-// scenario that exposed the client-publish FIFO gate bug (bug #17): under
-// continental ack latency enough publishes stay in flight that a member's
-// backpressure bounds drop one publish while accepting its successors —
-// the client's sorted retry then committed the dropped one BEHIND them,
-// an interior hole in the per-origin FIFO stream. Fixed by sessSrv's
-// per-client gate (see TestClientPubFIFOGate in the root package); this
-// seed is the end-to-end regression. The name contains "Chaos" so CI's
-// -run Chaos selects it.
-func TestChaosWanGeoSoakPinned(t *testing.T) {
-	if _, pinned := seedBase(t); pinned {
-		t.Skip("FSR_SEED replay runs through TestChaos/TestChaosSoak")
-	}
-	const seed = 1786170100913705138
-	sc := Generate(seed, true)
-	if got := profileName(sc); got != "wan-geo" {
-		t.Fatalf("seed %d generated profile %q, want wan-geo", seed, got)
-	}
-	RunScenario(t, sc)
 }
 
 // TestChaosSoak runs scenarios until the FSR_CHAOS_SOAK budget (a Go
@@ -228,12 +249,15 @@ func TestChaosSoak(t *testing.T) {
 	}
 	base, pinned := seedBase(t)
 	wantProfile := os.Getenv("FSR_CHAOS_PROFILE")
+	if wantProfile != "" && !slices.ContainsFunc(profiles[:], func(p profile) bool { return p.name == wantProfile }) {
+		t.Fatalf("FSR_CHAOS_PROFILE=%q names no profile", wantProfile)
+	}
 	deadline := time.Now().Add(d)
 	ran := 0
 	var heap []uint64
 	for i := int64(0); time.Now().Before(deadline); i++ {
 		seed := base + i
-		if wantProfile != "" && profileName(Generate(seed, true)) != wantProfile {
+		if wantProfile != "" && profileOf(seed).name != wantProfile {
 			continue
 		}
 		ok := t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {

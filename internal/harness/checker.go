@@ -1,10 +1,104 @@
 package harness
 
 import (
-	"fmt"
+	"encoding/json"
+	"hash/fnv"
+	"maps"
+	"sync"
 
 	"fsr"
 )
+
+// Rec is one applied message as a replica saw it — the unit every checker
+// invariant is phrased over. Payloads are kept as a 64-bit FNV-1a hash plus
+// length, so a scenario's whole history stays cheap to snapshot and
+// transfer.
+type Rec struct {
+	Seq     uint64     `json:"s"`
+	Origin  fsr.ProcID `json:"o"`
+	Logical uint64     `json:"l"`
+	Hash    uint64     `json:"h"`
+	Len     int        `json:"n"`
+}
+
+func recOf(m fsr.Message) Rec {
+	return Rec{Seq: m.Seq, Origin: m.Origin, Logical: m.LogicalID,
+		Hash: hashPayload(m.Payload), Len: len(m.Payload)}
+}
+
+func hashPayload(p []byte) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write(p)
+	return h.Sum64()
+}
+
+// Recorder is the harness's replicated state machine: it records the exact
+// applied sequence and carries it inside snapshots, so a replica rebuilt
+// via state transfer still exposes its full history to the checker.
+type Recorder struct {
+	mu  sync.Mutex
+	log []Rec
+}
+
+func (r *Recorder) Apply(m fsr.Message) {
+	rec := recOf(m)
+	r.mu.Lock()
+	r.log = append(r.log, rec)
+	r.mu.Unlock()
+}
+
+func (r *Recorder) Snapshot() ([]byte, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return json.Marshal(r.log)
+}
+
+func (r *Recorder) Restore(data []byte) error {
+	var log []Rec
+	if err := json.Unmarshal(data, &log); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.log = log
+	r.mu.Unlock()
+	return nil
+}
+
+// Log returns a copy of the applied history.
+func (r *Recorder) Log() []Rec {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Rec(nil), r.log...)
+}
+
+// registry tracks the latest Recorder incarnation per member (a restart
+// builds a fresh instance that rebuilds its log from snapshot + WAL).
+type registry struct {
+	mu  sync.Mutex
+	sms map[fsr.ProcID]*Recorder
+}
+
+func (g *registry) factory(id fsr.ProcID) fsr.StateMachine {
+	sm := &Recorder{}
+	g.mu.Lock()
+	g.sms[id] = sm
+	g.mu.Unlock()
+	return sm
+}
+
+// logs snapshots every member's applied history (latest incarnation per
+// member, including crashed and departed ones — their prefixes are checked
+// too).
+func (g *registry) logs() map[fsr.ProcID][]Rec {
+	g.mu.Lock()
+	sms := maps.Clone(g.sms)
+	g.mu.Unlock()
+	logs := make(map[fsr.ProcID][]Rec, len(sms))
+	for id, sm := range sms {
+		logs[id] = sm.Log()
+	}
+	return logs
+}
 
 // check enforces the paper's correctness claims over the recorded applied
 // histories after quiescence:
@@ -133,33 +227,6 @@ func check(t TB, sc Scenario, logs map[fsr.ProcID][]Rec, live []fsr.ProcID, sent
 		failf(t, seed, "no broadcast was ever delivered (%d issued)", len(sents))
 		return
 	}
-	t.Logf("checked: %d members (%d live), %d applied, %d/%d receipts delivered%s",
-		len(logs), len(live), len(ref), delivered, len(sents),
-		fmt.Sprintf(" [%s]", profileName(sc)))
-}
-
-// profileName labels the scenario's coverage class for the run log.
-func profileName(sc Scenario) string {
-	switch ((sc.Seed % profiles) + profiles) % profiles {
-	case 1:
-		return "leader-crash+restart"
-	case 2:
-		return "follower-crash+restart"
-	case 3:
-		return "membership-churn"
-	case 4:
-		return "client-sessions"
-	case 5:
-		return "edge-replicas"
-	case 6:
-		return "hostile-disk"
-	case 7:
-		return "asym-partition"
-	case 8:
-		return "wan-geo"
-	case 9:
-		return "rolling-upgrade"
-	default:
-		return "timing-only"
-	}
+	t.Logf("checked: %d members (%d live), %d applied, %d/%d receipts delivered [%s]",
+		len(logs), len(live), len(ref), delivered, len(sents), profileOf(sc.Seed).name)
 }
