@@ -60,9 +60,9 @@ func TestScenarioDeterminism(t *testing.T) {
 		}
 		planned[seed] = true
 	}
-	for i := range int64(regressionCount) {
-		if !planned[regressionBase+i] {
-			t.Errorf("regression seed %d has no golden plan", regressionBase+i)
+	for _, seed := range regressionSeeds() {
+		if !planned[seed] {
+			t.Errorf("regression seed %d has no golden plan", seed)
 		}
 	}
 	for _, p := range pinnedSeeds {
@@ -89,19 +89,32 @@ func TestScenarioCoverage(t *testing.T) {
 	}
 }
 
-// regressionBase starts a fixed range of regressionCount seeds — every
-// profile five times over — that a default TestChaos run replays ahead of
-// its fresh range, so each run covers the same known schedules, under the
-// same subtest names, as well as new ones.
-const (
-	regressionBase  = 1792146418171245131
-	regressionCount = 50
-)
+// regressionBases each start a fixed range of regressionCount seeds —
+// every profile five times over — that a default TestChaos run replays
+// ahead of its fresh range, so each run covers the same known schedules,
+// under the same subtest names, as well as new ones. Each range is one
+// that an earlier run drew fresh and passed.
+var regressionBases = []int64{1792146418171245131, 1792223415018658801}
 
-// TestChaos is the short chaos pass: the regression range plus 50 fresh
+const regressionCount = 50
+
+func regressionSeeds() []int64 {
+	var seeds []int64
+	for _, base := range regressionBases {
+		for i := range int64(regressionCount) {
+			seeds = append(seeds, base+i)
+		}
+	}
+	return seeds
+}
+
+// TestChaos is the short chaos pass: the regression ranges plus 50 fresh
 // seeded scenarios (FSR_CHAOS_COUNT overrides the fresh count and drops the
-// regression range; -short trims to 8 fresh) against the real mem-transport
-// stack. Replay a failure with the FSR_SEED line it prints.
+// regression ranges; -short trims to 8 fresh) against the real
+// mem-transport stack. Regression and FSR_SEED subtests are named
+// seed-<seed>; fresh ones are named fresh-<i>, so every run has the same
+// subtest names (each logs its plan, seed first). Replay a failure with
+// the FSR_SEED line it prints.
 func TestChaos(t *testing.T) {
 	base, pinned := seedBase(t)
 	count := 50
@@ -115,22 +128,22 @@ func TestChaos(t *testing.T) {
 	} else if testing.Short() {
 		count = 8
 	} else if !pinned {
-		for i := range int64(regressionCount) {
-			seeds = append(seeds, regressionBase+i)
-		}
+		seeds = regressionSeeds()
 	}
 	if pinned {
-		count = 1
-	}
-	for i := range count {
-		seeds = append(seeds, base+int64(i))
+		seeds, count = []int64{base}, 0
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			Run(t, seed, false)
 		})
 	}
-	count = len(seeds)
+	for i := range count {
+		t.Run(fmt.Sprintf("fresh-%d", i), func(t *testing.T) {
+			Run(t, base+int64(i), false)
+		})
+	}
+	count += len(seeds)
 	// Coverage guard for the hot-path batching: across a full scenario run
 	// the stack must have exercised frames carrying more than one data
 	// segment end to end (engine batching -> codec -> chaos injection ->

@@ -19,7 +19,7 @@
 // and re-running it regenerates the identical scenario plan and injection
 // schedule byte-for-byte (the goroutine scheduler still interleaves the
 // stack freely — the seed pins every injected fault, not the scheduler).
-// testdata/plans.golden pins the plans of the regression range and every
+// testdata/plans.golden pins the plans of the regression ranges and every
 // pinned seed, so a refactor that shifts one random draw fails loudly.
 //
 // A member that halts on its own — a fault, or eviction — is reaped as down
