@@ -6,15 +6,14 @@
 // stops heartbeating and is eventually suspected) and accurate (a live
 // process's heartbeats keep arriving before the timeout).
 //
-// The detector core is a pure state machine advanced by Tick(now) and
-// HandleHeartbeat(from, now), so tests control time exactly; Runner wraps it
-// with a real-time goroutine for production use.
+// The detector is a pure state machine advanced by Tick(now) and
+// HandleHeartbeat(from, now): tests control time exactly, and a node drives
+// it from its event loop.
 package fd
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"fsr/internal/ring"
@@ -45,8 +44,8 @@ type Config struct {
 	Suspect func(p ring.ProcID)
 }
 
-// Detector is the pure failure-detector state machine. Not goroutine-safe;
-// Runner adds locking for real-time use.
+// Detector is the pure failure-detector state machine. Not goroutine-safe:
+// its owner serializes every call.
 type Detector struct {
 	cfg      Config
 	lastSeen map[ring.ProcID]time.Time
@@ -147,70 +146,4 @@ func Decode(payload []byte) (ring.ProcID, error) {
 		return 0, fmt.Errorf("fd: bad heartbeat payload (%d bytes)", len(payload))
 	}
 	return ring.ProcID(binary.LittleEndian.Uint32(payload[1:])), nil
-}
-
-// Runner drives a Detector in real time with an internal goroutine. All
-// Detector access is serialized by the Runner's lock, so HandleHeartbeat may
-// be called from transport goroutines.
-type Runner struct {
-	mu   sync.Mutex
-	d    *Detector
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// NewRunner wraps a detector. Call Start to begin ticking.
-func NewRunner(d *Detector) *Runner {
-	return &Runner{d: d, done: make(chan struct{})}
-}
-
-// Start launches the ticking goroutine.
-func (r *Runner) Start() {
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		ticker := time.NewTicker(r.d.cfg.Interval / 2)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-r.done:
-				return
-			case now := <-ticker.C:
-				r.mu.Lock()
-				r.d.Tick(now)
-				r.mu.Unlock()
-			}
-		}
-	}()
-}
-
-// HandleHeartbeat forwards a heartbeat to the detector, thread-safely.
-func (r *Runner) HandleHeartbeat(from ring.ProcID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.d.HandleHeartbeat(from, time.Now())
-}
-
-// SetPeers forwards to the detector, thread-safely.
-func (r *Runner) SetPeers(peers []ring.ProcID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.d.SetPeers(peers, time.Now())
-}
-
-// Suspected forwards to the detector, thread-safely.
-func (r *Runner) Suspected(p ring.ProcID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.d.Suspected(p)
-}
-
-// Stop halts the ticking goroutine and waits for it.
-func (r *Runner) Stop() {
-	select {
-	case <-r.done:
-	default:
-		close(r.done)
-	}
-	r.wg.Wait()
 }

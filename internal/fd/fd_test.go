@@ -163,51 +163,3 @@ func TestEncodeDecode(t *testing.T) {
 		t.Error("wrong kind accepted")
 	}
 }
-
-func TestRunnerRealTime(t *testing.T) {
-	rec := newRecorder()
-	d, err := New(Config{
-		Self:     0,
-		Interval: 5 * time.Millisecond,
-		Timeout:  40 * time.Millisecond,
-		Send:     rec.send,
-		Suspect:  rec.suspect,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(d)
-	r.SetPeers([]ring.ProcID{1, 2})
-	r.Start()
-	defer r.Stop()
-	// Keep peer 1 alive from another goroutine; let 2 time out.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				r.HandleHeartbeat(1)
-			}
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for !r.Suspected(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("peer 2 never suspected")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if r.Suspected(1) {
-		t.Error("live peer suspected under real-time runner")
-	}
-	r.Stop() // double stop must be safe
-}

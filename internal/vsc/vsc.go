@@ -23,6 +23,13 @@
 // fail-stop crashes this terminates. Competing PREPAREs are ordered by
 // (epoch, coordinator position), lower coordinator winning ties.
 //
+// Quorum: a proposal keeps at least half of the current view. A strict
+// minority never proposes. Exactly half probes the rest of the view with a
+// Fence and waits — one ChangeTimeout for the half holding the view's
+// lowest ID, two for the other — before it mints; a member left in an older
+// view learns of the newer one from that probe and fail-stops. See
+// startChange for the residual.
+//
 // The Manager is a pure state machine: the owning node serializes calls and
 // supplies time through Tick.
 package vsc
@@ -105,9 +112,8 @@ type Manager struct {
 	snapshot  *core.RecoveryState
 	changing  bool
 	changeDue time.Time
-	// halfDeferred marks that this member held back one even-split proposal
-	// (it kept exactly half the view but not its lowest-ID member — see the
-	// tie-break in startChange) and may proceed at the next retry.
+	// halfDeferred marks an exactly-half proposal waiting out its probe
+	// (see startChange); it is minted once changeDue has passed.
 	halfDeferred bool
 	// suspFwdDue schedules the next re-forward of pending suspicions to the
 	// coordinator (see OnSuspect): forwards are best-effort sends, so a
@@ -177,10 +183,11 @@ func (m *Manager) coordinator() (ring.ProcID, bool) {
 // non-coordinator forwards it to whoever it believes coordinates, so that
 // an asymmetric fault — the suspect silent toward us but audible to the
 // coordinator — still reaches the one process that can fix the ring
-// (bug #16; Tick re-forwards until a view change resolves it). Safety does
-// not rest on the reporter being right: the quorum guard in startChange
-// still applies, and a falsely evicted live member fail-stops on the
-// NEWVIEW and rejoins.
+// (bug #16). A suspicion that starts no change — a forward, or a minority
+// that may not propose — is revisited by Tick every ChangeTimeout until a
+// view change resolves it. Safety does not rest on the reporter being
+// right: the quorum rule in startChange still applies, and a falsely
+// evicted live member fail-stops on the NEWVIEW and rejoins.
 func (m *Manager) OnSuspect(p ring.ProcID, now time.Time) {
 	if p == m.cfg.Self || !m.alive[p] {
 		return
@@ -191,6 +198,8 @@ func (m *Manager) OnSuspect(p ring.ProcID, now time.Time) {
 		m.startChange(now)
 	} else {
 		m.cfg.Callbacks.Send(coord, EncodeSuspicion(&Suspicion{ID: p}))
+	}
+	if !m.changing {
 		m.suspFwdDue = now.Add(m.cfg.ChangeTimeout)
 	}
 }
@@ -270,7 +279,9 @@ func (m *Manager) RotateLeader(now time.Time) {
 //
 // Both stalls also probe the rest of the view with a Fence: the group may
 // have installed a view without us whose NEWVIEW the fault ate, and then
-// nothing else would ever tell us (see handleFence).
+// nothing else would ever tell us (see handleFence). So does a minority
+// coordinator, which may not propose, and an exactly-half wait re-probes
+// on every tick.
 func (m *Manager) Tick(now time.Time) {
 	if m.changing && now.After(m.changeDue) {
 		m.probe()
@@ -282,27 +293,36 @@ func (m *Manager) Tick(now time.Time) {
 			// that must not propose: wait (and probe) another timeout.
 			m.changeDue = now.Add(m.cfg.ChangeTimeout)
 		}
+	} else if m.halfDeferred {
+		// An exactly-half wait probes on every tick, so a cut that ate the
+		// first probe's answer cannot let us mint past a newer view.
+		m.probe()
 	}
 	if !m.changing && m.installed && !m.suspFwdDue.IsZero() && now.After(m.suspFwdDue) {
+		m.suspFwdDue = time.Time{}
 		coord, isCoord := m.coordinator()
 		if isCoord {
 			// Deaths since the last tick made us coordinator: act directly.
-			m.suspFwdDue = time.Time{}
 			m.startChange(now)
-			return
-		}
-		forwarded := false
-		for _, p := range m.view.Ring.Members() {
-			if !m.alive[p] && p != m.cfg.Self {
-				m.cfg.Callbacks.Send(coord, EncodeSuspicion(&Suspicion{ID: p}))
-				forwarded = true
+			if m.changing {
+				return
 			}
 		}
-		if forwarded {
+		// Still suspecting someone, and no change under way: re-forward to
+		// the coordinator, or, as a minority that may not propose, keep
+		// probing until a newer view evicts us.
+		suspects := false
+		for _, p := range m.view.Ring.Members() {
+			if !m.alive[p] && p != m.cfg.Self {
+				suspects = true
+				if !isCoord {
+					m.cfg.Callbacks.Send(coord, EncodeSuspicion(&Suspicion{ID: p}))
+				}
+			}
+		}
+		if suspects {
 			m.probe()
 			m.suspFwdDue = now.Add(m.cfg.ChangeTimeout)
-		} else {
-			m.suspFwdDue = time.Time{}
 		}
 	}
 }
@@ -345,42 +365,6 @@ func (m *Manager) nextMembers() []ring.ProcID {
 	return append(out, js...)
 }
 
-// hasQuorum reports whether a proposed membership retains a primary
-// component of the current view: at least half of its members. This is
-// the split-brain guard for the case the perfect-failure-detector model
-// excludes but an overloaded host manufactures anyway: asymmetric false
-// suspicion, where a small live faction believes the rest crashed and
-// would otherwise install a rump view carrying the same epoch as the
-// majority's next view, after which each side drops the other's NEWVIEW
-// as stale and the histories diverge forever (found by the chaos harness,
-// seed 1785168074707084626, where a 2-of-5 faction installed a private
-// view). A strict-minority side now never proposes: either the majority's
-// NEWVIEW arrives and evicts it (fail-stop, the documented
-// false-suspicion outcome), or — if its suspicions were transient — it
-// rejoins the majority's next view.
-//
-// Exactly half still qualifies: losing half the view at once (e.g. the
-// old coordinator and another member crashing together mid-change) is a
-// recovery the protocol supports, and the survivors cannot distinguish it
-// from a symmetric partition. A perfectly even split under MUTUAL false
-// suspicion — n even, both halves suspecting each other within one view —
-// would let both halves qualify simultaneously, so startChange adds a
-// deterministic tie-break on top of this test: at exactly half, only the
-// half retaining the lowest-ID current-view member proposes immediately;
-// the other half defers one ChangeTimeout (see the halfDeferred branch),
-// giving the favored half's NEWVIEW time to arrive and evict it. The
-// deferred half does proceed after the timeout — silence for a full
-// ChangeTimeout is the protocol's definition of a dead peer, and wedging
-// forever on a half that really did crash (the coordinator-crash-mid-
-// change recovery) is not acceptable — so a partition that outlasts the
-// timeout AND suppresses every NEWVIEW can still fork an even split. That
-// residual requires the model violation to persist past the failure
-// detector's own horizon, strictly narrower than the simultaneous-mint
-// race the tie-break removes.
-func (m *Manager) hasQuorum(proposed []ring.ProcID) bool {
-	return 2*m.keptOfCurrent(proposed) >= len(m.view.Ring.Members())
-}
-
 // keptOfCurrent counts current-view members the proposal retains.
 func (m *Manager) keptOfCurrent(proposed []ring.ProcID) int {
 	kept := 0
@@ -418,31 +402,48 @@ func (m *Manager) startChange(now time.Time) {
 	if len(members) == 0 {
 		return
 	}
+	// The quorum rule. A proposal must keep at least half of the current
+	// view. This guards against what the perfect-failure-detector model
+	// excludes but an overloaded host manufactures: a small live faction
+	// that falsely suspects the rest would mint a rump view carrying the
+	// same epoch as the majority's next view (chaos seed
+	// 1785168074707084626). A strict minority never proposes; the
+	// majority's NEWVIEW or Fence evicts it, or it rejoins the majority's
+	// next view.
 	cur := m.view.Ring.Members()
 	kept := m.keptOfCurrent(members)
 	if 2*kept < len(cur) {
-		return // minority side of a (suspected) partition: must not propose
+		return
 	}
-	if 2*kept == len(cur) && !m.halfDeferred {
-		// Even-split tie-break (see hasQuorum): when a view splits exactly
-		// in half under mutual false suspicion, both halves pass the
-		// half-quorum test and would mint colliding same-epoch views. Break
-		// the tie deterministically: the half retaining the lowest-ID
-		// current-view member proposes now; the other half defers one
-		// ChangeTimeout, during which the favored half's NEWVIEW evicts it
-		// (false suspicion) or admits it (transient suspicion). Only if the
-		// favored half stays silent for the full timeout — the failure
-		// detector's own crash horizon — does the deferred half proceed,
-		// which keeps recovery alive when half the view genuinely died.
-		lowest := slices.Min(cur)
-		if !slices.Contains(members, lowest) && !m.leavers[lowest] {
+	if 2*kept == len(cur) && !(m.halfDeferred && now.After(m.changeDue)) {
+		// Exactly half. Half the view really can die at once (the old
+		// coordinator and another member crashing mid-change), and the
+		// survivors cannot tell that from a newer view that left us behind
+		// (ledger row C) or from the other half of an even split doing the
+		// same. So every exactly-half proposal probes the rest of the view
+		// and waits, re-probing on every tick: a newer view answers and
+		// evicts us (handleFence), and only silence for the whole wait lets
+		// us mint. The half holding the view's lowest ID waits one
+		// ChangeTimeout, the other half two, so the favoured half's NEWVIEW
+		// reaches the other first. A collection already in flight is
+		// dropped: it was started for a membership this suspicion has
+		// outdated, like any collection a new proposal replaces. Residual:
+		// an even split whose halves both falsely suspect each other still
+		// forks if its links stay cut through both waits, or if the waits
+		// end together and the two NEWVIEWs cross.
+		if !m.halfDeferred {
+			wait := m.cfg.ChangeTimeout
+			if lowest := slices.Min(cur); !slices.Contains(members, lowest) && !m.leavers[lowest] {
+				wait *= 2
+			}
 			m.halfDeferred = true
 			m.changing = true
-			m.changeDue = now.Add(m.cfg.ChangeTimeout)
-			m.log.Info("view change deferred: even split without lowest member",
-				"lowest", uint32(lowest), "kept", kept, "view_n", len(cur))
-			return
+			m.changeDue = now.Add(wait)
+			m.collected = nil
+			m.probe()
+			m.log.Info("view change deferred: even split", "kept", kept, "view_n", len(cur), "wait", wait)
 		}
+		return
 	}
 	m.halfDeferred = false
 	m.myEpoch = max(m.hiEpoch, m.myEpoch) + 1
@@ -475,7 +476,7 @@ func (m *Manager) HandlePayload(from ring.ProcID, payload []byte, now time.Time)
 	case *State:
 		m.handleState(v)
 	case *NewView:
-		m.handleNewView(v, now)
+		m.handleNewView(v)
 	case *JoinReq:
 		m.handleJoinReq(v, now)
 	case *LeaveReq:
@@ -612,10 +613,10 @@ func (m *Manager) handleState(s *State) {
 			m.cfg.Callbacks.Send(p, payload)
 		}
 	}
-	m.handleNewView(nv, time.Time{})
+	m.handleNewView(nv)
 }
 
-func (m *Manager) handleNewView(nv *NewView, now time.Time) {
+func (m *Manager) handleNewView(nv *NewView) {
 	if nv.Epoch <= m.view.ID {
 		return // stale
 	}
@@ -649,7 +650,6 @@ func (m *Manager) handleNewView(nv *NewView, now time.Time) {
 	m.hiCoord = 0
 	m.installed = true
 	m.cfg.Callbacks.Install(v, &nv.Sync, rebroadcast)
-	_ = now
 }
 
 // excluded handles an agreed view newer than ours that leaves us out.
@@ -680,14 +680,16 @@ func (m *Manager) excluded(epoch uint64, members []ring.ProcID) {
 // (see Tick). A member holding a newer view answers with its own Fence,
 // and a newer view that leaves us out is exactly the exclusion its NEWVIEW
 // would have delivered: we fail-stop, and the restart rejoins. A newer view
-// that includes us — its NEWVIEW lost, not our exclusion — is not handled
-// here; the change timeout and the failure detector still own that case.
+// that includes us means its NEWVIEW was lost on the way to us. We cannot
+// install it without the sync, and nothing else would move us: the group
+// counts us in, and our heartbeats keep its detectors quiet. So we
+// fail-stop on that one too, and the group's detectors then exclude us.
 func (m *Manager) handleFence(from ring.ProcID, f *Fence) {
 	if !m.installed {
 		return
 	}
 	switch {
-	case f.Epoch > m.view.ID && !slices.Contains(f.Members, m.cfg.Self):
+	case f.Epoch > m.view.ID:
 		m.excluded(f.Epoch, f.Members)
 	case f.Epoch < m.view.ID:
 		m.cfg.Callbacks.Send(from, EncodeFence(&Fence{Epoch: m.view.ID, Members: m.view.Ring.Members()}))

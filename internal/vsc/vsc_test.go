@@ -1,6 +1,7 @@
 package vsc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -246,10 +247,10 @@ func TestCoordinatorCrashMidChangeRecoversByTimeout(t *testing.T) {
 	bootstrap(t, h, ids)
 	// 63 crashes; coordinator 60 starts a change (its PREPARE for epoch 2
 	// lands in 61/62's inboxes) and then crashes itself before collecting
-	// any STATE. 61 takes over with its own epoch-2 PREPARE, but 60's
-	// competing PREPARE wins the tie-break (earlier ring position), so the
-	// survivors freeze toward a dead coordinator: only the change timeout
-	// can recover the group.
+	// any STATE. 61 takes over, but keeps exactly half of the view without
+	// its lowest ID, so it probes and waits two timeouts while 62 freezes
+	// toward the dead coordinator's PREPARE: only the change timeout can
+	// recover the group.
 	h.crash(63)
 	h.suspectEverywhere(63) // 60 starts change epoch 2; 61/62 defer to it
 	h.crash(60)
@@ -556,6 +557,13 @@ func TestMinoritySurvivorBlocks(t *testing.T) {
 	h2.crash(9)
 	h2.managers[7].OnSuspect(9, h2.now)
 	h2.pump()
+	if len(h2.installs[7]) != 0 {
+		t.Fatalf("exactly half installed %v before its wait", h2.installs[7])
+	}
+	// Exactly half probes, then mints after one ChangeTimeout of silence.
+	h2.now = h2.now.Add(time.Second)
+	h2.managers[7].Tick(h2.now)
+	h2.pump()
 	got := h2.lastView(7)
 	if want := []ring.ProcID{7}; !reflect.DeepEqual(got.Ring.Members(), want) {
 		t.Fatalf("survivor installed %v, want %v", got.Ring.Members(), want)
@@ -621,10 +629,12 @@ func TestLeaveOverlappingCrashStillCompletes(t *testing.T) {
 // TestSymmetricEvenSplitTieBreak: a perfectly even split under MUTUAL
 // false suspicion — the residual split-brain hole left by the half-quorum
 // guard. Both halves retain exactly half the view and would, without the
-// tie-break, mint colliding same-epoch views. The deterministic tie-break
-// lets only the half retaining the lowest-ID current-view member propose
-// immediately; the other half defers, receives the favored half's NEWVIEW
-// within the deferral window, and evicts itself instead of diverging.
+// tie-break, mint colliding same-epoch views. Both halves probe and wait;
+// the half retaining the lowest-ID current-view member waits one
+// ChangeTimeout and the other two, so the other half receives the favored
+// half's NEWVIEW within its wait and evicts itself instead of diverging.
+// The favored coordinator's collection for {10,11,13}, started before its
+// suspicion of 13, is dropped by the deferral and never completes.
 func TestSymmetricEvenSplitTieBreak(t *testing.T) {
 	ids := []ring.ProcID{10, 11, 12, 13}
 	v := groupView(t, ids, 2)
@@ -644,6 +654,12 @@ func TestSymmetricEvenSplitTieBreak(t *testing.T) {
 		for _, b := range []ring.ProcID{12, 13} {
 			h.managers[a].OnSuspect(b, h.now)
 		}
+	}
+	h.pump()
+	// Past the favored half's wait, short of the other half's.
+	h.now = h.now.Add(150 * time.Millisecond)
+	for _, id := range ids {
+		h.managers[id].Tick(h.now)
 	}
 	h.pump()
 	// The half with the lowest-ID member (10) installs the next view.
@@ -710,67 +726,99 @@ func TestEvenSplitWithoutLowestRecoversByTimeout(t *testing.T) {
 // own detector has given up on everyone it stalls — as a minority
 // coordinator whose change cannot proceed, or as a member re-forwarding
 // suspicions — and its next timeout's Fence probe draws the group's newer
-// view, which leaves it out: it fail-stops. Its forwarded suspicions of
-// current members, sent from outside their view, must not evict anyone.
+// view, which leaves it out: it fail-stops. Where its suspicions leave it
+// holding exactly half of its view, the probe that proposal sends draws the
+// eviction at once, before any stall. Its forwarded suspicions of current
+// members, sent from outside their view, must not evict anyone.
+//
+// The row C case is ledger row C's shape, built directly: member 0 sits in
+// 4[2 0] and answered view 5's PREPARE but missed its NEWVIEW, and the
+// group has moved on to 6[1 2]. Holding the lowest ID of a view it has
+// lost half of, 0 used to mint 6[0] on the spot.
 func TestFenceEvictsMemberLeftBehind(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		ids     []ring.ProcID
 		behind  ring.ProcID
 		suspect []ring.ProcID // what the member left behind suspects, in order
+		probed  bool          // evicted by its exactly-half probe, before any stall
+		rowC    bool          // start in row C's shape instead of cutting
 	}{
 		// It suspects the coordinator first, takes the role over, and its
 		// change stalls: the others are past its epoch, then gone by its books.
-		{"n=3 stalled coordinator", []ring.ProcID{0, 1, 2}, 1, []ring.ProcID{0, 2}},
-		{"n=4 stalled coordinator", []ring.ProcID{0, 1, 2, 3}, 1, []ring.ProcID{0, 2, 3}},
+		{"n=3 stalled coordinator", []ring.ProcID{0, 1, 2}, 1, []ring.ProcID{0, 2}, false, false},
+		// The same, until its second suspicion leaves it exactly half.
+		{"n=4 stalled coordinator", []ring.ProcID{0, 1, 2, 3}, 1, []ring.ProcID{0, 2, 3}, true, false},
 		// It keeps the coordinator alive by its books and forwards suspicions
 		// of the others to it.
-		{"n=4 forwarding member", []ring.ProcID{0, 1, 2, 3}, 3, []ring.ProcID{2, 1}},
+		{"n=4 forwarding member", []ring.ProcID{0, 1, 2, 3}, 3, []ring.ProcID{2, 1}, false, false},
+		{"row C", []ring.ProcID{0, 1, 2}, 0, []ring.ProcID{2}, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t)
-			bootstrap(t, h, tc.ids)
-			// The cut: nothing reaches the member left behind while the rest
-			// exclude it (crashed drops its traffic both ways; it sends none).
-			h.crashed[tc.behind] = true
-			for _, id := range tc.ids {
-				if id != tc.behind {
-					h.managers[id].OnSuspect(tc.behind, h.now)
-				}
-			}
-			h.pump()
-			h.crashed[tc.behind] = false // healed, too late for the NEWVIEW
 			var rest []ring.ProcID
 			for _, id := range tc.ids {
 				if id != tc.behind {
 					rest = append(rest, id)
 				}
 			}
-			group := h.lastView(rest[0])
-			if !reflect.DeepEqual(group.Ring.Members(), rest) {
-				t.Fatalf("group installed %v, want %v", group.Ring.Members(), rest)
+			if tc.rowC {
+				h.add(0, core.View{ID: 4, Ring: ring.MustNew([]ring.ProcID{2, 0}, 1)}, false)
+				for _, id := range rest {
+					h.add(id, core.View{ID: 6, Ring: ring.MustNew(rest, 1)}, false)
+				}
+				prep := &Prepare{Epoch: 5, Coord: 2, Members: []ring.ProcID{2, 0, 1}, T: 1}
+				if err := h.managers[0].HandlePayload(2, EncodePrepare(prep), h.now); err != nil {
+					t.Fatal(err)
+				}
+				h.inboxes[2] = nil // its STATE: view 5 is long installed
+			} else {
+				bootstrap(t, h, tc.ids)
+				// The cut: nothing reaches the member left behind while the
+				// rest exclude it (crashed drops its traffic both ways; it
+				// sends none).
+				h.crashed[tc.behind] = true
+				for _, id := range rest {
+					h.managers[id].OnSuspect(tc.behind, h.now)
+				}
+				h.pump()
+				h.crashed[tc.behind] = false // healed, too late for the NEWVIEW
+				if got := h.lastView(rest[0]).Ring.Members(); !reflect.DeepEqual(got, rest) {
+					t.Fatalf("group installed %v, want %v", got, rest)
+				}
 			}
+			group := h.managers[rest[0]].View()
 
 			left := h.managers[tc.behind]
 			for _, p := range tc.suspect {
 				left.OnSuspect(p, h.now)
 			}
 			h.pump()
-			if h.evicted[tc.behind] {
-				t.Fatal("evicted before any stall; the test no longer reaches the fence")
+			if n := len(h.installs[tc.behind]); n != 0 {
+				t.Fatalf("installed %s, group at %s", viewString(h.installs[tc.behind][n-1]), viewString(group))
 			}
-			h.now = h.now.Add(time.Second)
-			left.Tick(h.now)
-			h.pump()
-			if !h.evicted[tc.behind] {
-				t.Fatalf("member %d still in view %d after a stalled timeout; the group is at view %d",
-					tc.behind, left.View().ID, group.ID)
+			if tc.probed {
+				if !h.evicted[tc.behind] {
+					t.Fatalf("member %d still in view %s after its exactly-half probe; the group is at %s",
+						tc.behind, viewString(left.View()), viewString(group))
+				}
+			} else {
+				if h.evicted[tc.behind] {
+					t.Fatal("evicted before any stall; the test no longer reaches the fence")
+				}
+				h.now = h.now.Add(time.Second)
+				left.Tick(h.now)
+				h.pump()
+				if !h.evicted[tc.behind] {
+					t.Fatalf("member %d still in view %d after a stalled timeout; the group is at view %d",
+						tc.behind, left.View().ID, group.ID)
+				}
 			}
 			if len(h.installs[tc.behind]) != 0 {
 				t.Fatalf("member left behind installed %v", h.installs[tc.behind])
 			}
 			for _, id := range rest {
-				if got := h.lastView(id); got.ID != group.ID {
+				if got := h.managers[id].View(); got.ID != group.ID {
 					t.Fatalf("member %d moved to view %d %v: a suspicion from outside the view was acted on",
 						id, got.ID, got.Ring.Members())
 				}
@@ -778,3 +826,5 @@ func TestFenceEvictsMemberLeftBehind(t *testing.T) {
 		})
 	}
 }
+
+func viewString(v core.View) string { return fmt.Sprintf("%d%v", v.ID, v.Ring.Members()) }
