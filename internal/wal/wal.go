@@ -13,13 +13,15 @@
 //
 // Record framing follows the hand-rolled little-endian style of the wire
 // codec: each entry is [length u32][crc32c u32][body] with body = seq u64,
-// origin u32, logicalID u64, payload length u32, payload. Appends go
-// through one buffered writer and are fsynced in batches (every
-// Options.SyncEvery records, plus whenever the owner calls Sync before
-// externalizing a delivery). A torn tail — the partial record a crash can
-// leave mid-write — is detected by the length/CRC check on Open and
-// truncated away; everything before it is intact because records are
-// written sequentially.
+// origin u32, logicalID u64, payload length u32, payload. Append frames
+// each record straight onto one batch buffer the log owns, and Sync hands
+// the whole batch to the kernel in a single write before it fsyncs: a
+// delivery batch costs one write and one fsync (plus one of each per
+// Options.SyncEvery records, and a write whenever the buffer would pass
+// batchCap). A torn tail — the partial record a crash can leave mid-write
+// — is detected by the length/CRC check on Open and truncated away;
+// everything before it is intact because records are written
+// sequentially.
 //
 // # Segment chain
 //
@@ -46,8 +48,8 @@
 // force this. First, fsyncgate: after a failed fsync the kernel may drop
 // the dirty pages yet let a *retried* fsync succeed, so a log that shrugs
 // off one fsync error can later claim durability for records that never
-// hit the platter. Second, a short append leaves a partial record in the
-// buffered writer; any further append would flush garbage into the
+// hit the platter. Second, a short write of the batch leaves a partial
+// record on disk; any further write would land after that garbage, in the
 // segment's interior, turning a recoverable torn tail into ErrCorrupt on
 // the next open. Freezing the log at the first failure keeps everything
 // below the failure point recoverable: the next incarnation's Open truncates
@@ -136,6 +138,11 @@ const (
 
 	recordHeader   = 8  // length + crc
 	entryFixedSize = 24 // seq + origin + logicalID + payload length
+
+	// batchCap bounds the batch buffer: Append writes it out before a
+	// record would take it past this. It grows to it on demand, never
+	// eagerly, because every Open would otherwise pay for it.
+	batchCap = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -171,13 +178,12 @@ type Log struct {
 
 	segs     []segment // ascending by first seq; the final one is active
 	f        File      // active segment
-	w        *bufio.Writer
+	buf      []byte    // framed records not yet written to f; see flushLocked
 	unsynced int
 	lastSeq  uint64 // highest entry or snapshot seq ever recorded
 
 	snap *Snapshot // latest snapshot, kept in memory for serving
 	hint readHint  // resume point for paged catch-up reads
-	rec  []byte    // Append's record scratch, reused under mu
 
 	log *slog.Logger
 
@@ -362,7 +368,6 @@ func (l *Log) openActive() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	if s.size == 0 {
 		// Emptied by a crash or a repair, chain record and all: chain it to
 		// what was recovered.
@@ -383,34 +388,55 @@ func (l *Log) createSegment(seq uint64) error {
 	l.segs = append(l.segs, segment{path: path})
 	l.segments.Store(int64(len(l.segs)))
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	return l.writeChainLocked()
 }
 
 // writeChainLocked opens the (empty) active segment with its chain record:
 // seq 0, logicalID = the highest seq recorded before it (see the package
-// comment). It is buffered, and reaches the disk with the segment's first
+// comment). It is batched, and reaches the disk with the segment's first
 // entries — a crash that loses it loses them too, leaving an empty segment
 // that chains to nothing and hides nothing.
 func (l *Log) writeChainLocked() error {
 	return l.writeRecordLocked(Entry{LogicalID: l.lastSeq})
 }
 
-// writeRecordLocked frames e into the active segment's buffer.
+// writeRecordLocked frames e onto the batch buffer, first writing out what
+// the buffer holds if e would take it past batchCap.
 func (l *Log) writeRecordLocked(e Entry) error {
-	rec := appendRecord(l.rec[:0], e)
-	if cap(rec) <= maxRecordScratch {
-		l.rec = rec // else: one huge entry must not pin its buffer for good
+	n := recordHeader + entryFixedSize + len(e.Payload)
+	if len(l.buf) > 0 && len(l.buf)+n > batchCap {
+		if err := l.flushLocked(); err != nil {
+			return err
+		}
 	}
-	if _, err := l.w.Write(rec); err != nil {
-		// A short write leaves a partial record in the buffer (and maybe
-		// on disk). Poisoning here means no later append can flush bytes
-		// after the garbage: what is on disk stays a torn TAIL, which the
-		// next incarnation's Open truncates — never interior corruption.
-		return l.poisonLocked(fmt.Errorf("wal: append: %w", err))
+	l.buf = appendRecord(l.buf, e)
+	l.segs[len(l.segs)-1].size += int64(n)
+	l.bytes.Add(int64(n))
+	return nil
+}
+
+// flushLocked hands the batch buffer to the active segment in one write.
+// A failed or short write may leave a partial record on disk; poisoning
+// here means nothing is ever written after it, so it stays a torn TAIL,
+// which the next incarnation's Open truncates — never interior corruption.
+// The buffer is kept for the next batch unless one oversize record grew it
+// past twice batchCap.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
 	}
-	l.segs[len(l.segs)-1].size += int64(len(rec))
-	l.bytes.Add(int64(len(rec)))
+	n, err := l.f.Write(l.buf)
+	if err == nil && n < len(l.buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return l.poisonLocked(fmt.Errorf("wal: write: %w", err))
+	}
+	if cap(l.buf) > 2*batchCap {
+		l.buf = nil
+	} else {
+		l.buf = l.buf[:0]
+	}
 	return nil
 }
 
@@ -523,7 +549,7 @@ func (l *Log) rotate(seq uint64) error {
 	return nil
 }
 
-// Sync flushes buffered appends and fsyncs the active segment — the
+// Sync writes the batch in one write and fsyncs the active segment — the
 // durability point the delivery pump hits before dispatching a batch.
 func (l *Log) Sync() error {
 	l.mu.Lock()
@@ -532,7 +558,7 @@ func (l *Log) Sync() error {
 }
 
 // syncLocked is the durability point — and the fsyncgate guard. A failed
-// flush or fsync must not be retried: the kernel may already have dropped
+// write or fsync must not be retried: the kernel may already have dropped
 // the dirty pages, so a retried fsync that "succeeds" would claim
 // durability for records that are gone. The first failure poisons the log
 // permanently; the owner fail-stops and the next incarnation recovers the
@@ -544,8 +570,8 @@ func (l *Log) syncLocked() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		return l.poisonLocked(fmt.Errorf("wal: flush: %w", err))
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return l.poisonLocked(fmt.Errorf("wal: fsync: %w", err))
@@ -644,7 +670,7 @@ func (l *Log) snapPath(seq uint64) string {
 }
 
 // Stats snapshots the durability counters. Bytes counts the active
-// segment's buffered-but-unflushed tail too, so it tracks what Append has
+// segment's batched-but-unwritten tail too, so it tracks what Append has
 // accepted rather than what has hit the disk. It takes no lock and touches
 // no file, so it never waits behind an fsync; the fields are each current
 // but not one coherent instant.
@@ -697,9 +723,9 @@ func (l *Log) Replay(after uint64, fn func(Entry) error) error {
 	if err := l.poisoned(); err != nil {
 		return err
 	}
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			return l.poisonLocked(fmt.Errorf("wal: flush: %w", err))
+	if l.f != nil {
+		if err := l.flushLocked(); err != nil {
+			return err
 		}
 	}
 	for i := range l.segs {
@@ -746,14 +772,14 @@ func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.poisoned(); err != nil {
-		// A poisoned member must not serve catch-up: its buffered tail
-		// never flushed, and flushing it now could write a partial record
-		// into the interior. Peers rotate to another server.
+		// A poisoned member must not serve catch-up: its batch never
+		// reached the disk whole, and writing now could put bytes after a
+		// partial record. Peers rotate to another server.
 		return nil, false, err
 	}
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			return nil, false, l.poisonLocked(fmt.Errorf("wal: flush: %w", err))
+	if l.f != nil {
+		if err := l.flushLocked(); err != nil {
+			return nil, false, err
 		}
 	}
 	bytes := 0
@@ -799,9 +825,9 @@ func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []
 // errPageFull stops a ReadFrom scan once the page limits are hit.
 var errPageFull = errors.New("wal: page full")
 
-// Close flushes, fsyncs and releases the active segment. A poisoned log
-// releases the file handle without flushing (the buffer may hold a partial
-// record) and returns the sticky error.
+// Close writes the batch, fsyncs and releases the active segment. A
+// poisoned log releases the file handle without writing (a partial record
+// may already be on disk) and returns the sticky error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -816,12 +842,9 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	l.f = nil
-	l.w = nil
+	l.buf = nil
 	return err
 }
-
-// maxRecordScratch bounds the record buffer Append keeps between calls.
-const maxRecordScratch = 4 << 20
 
 // appendRecord frames one entry onto buf.
 func appendRecord(buf []byte, e Entry) []byte {
