@@ -409,8 +409,10 @@ func (e *Edge) replicate(m fsr.Message) error {
 	return nil
 }
 
-// syncLoop periodically syncs the durable replica. A failure poisons the
-// WAL; the next append reports it.
+// syncLoop periodically syncs the durable replica. Until the next tick its
+// unsynced tail stays in the process, in the log's batch buffer: a kill
+// loses it, and the restarted edge fetches it again from upstream. A
+// failure poisons the WAL; the next append reports it.
 func (e *Edge) syncLoop(ctx context.Context) {
 	defer e.wg.Done()
 	ticker := time.NewTicker(syncEvery)

@@ -122,7 +122,10 @@ func (g *registry) logs() map[fsr.ProcID][]Rec {
 //     snapshot + WAL + catch-up are bit-identical to replicas that never
 //     crashed (subsumed by live-history equality, since the Recorder's
 //     state IS its applied history).
-func check(t TB, sc Scenario, logs map[fsr.ProcID][]Rec, live []fsr.ProcID, sents []sent) {
+//
+// note ends the closing log line: the hostile-disk member's injected-fault
+// counts, so a run shows which faults it survived.
+func check(t TB, sc Scenario, logs map[fsr.ProcID][]Rec, live []fsr.ProcID, sents []sent, note string) {
 	t.Helper()
 	seed := sc.Seed
 
@@ -227,6 +230,6 @@ func check(t TB, sc Scenario, logs map[fsr.ProcID][]Rec, live []fsr.ProcID, sent
 		failf(t, seed, "no broadcast was ever delivered (%d issued)", len(sents))
 		return
 	}
-	t.Logf("checked: %d members (%d live), %d applied, %d/%d receipts delivered [%s]",
-		len(logs), len(live), len(ref), delivered, len(sents), profileOf(sc.Seed).name)
+	t.Logf("checked: %d members (%d live), %d applied, %d/%d receipts delivered [%s]%s",
+		len(logs), len(live), len(ref), delivered, len(sents), profileOf(sc.Seed).name, note)
 }

@@ -278,7 +278,11 @@ func RunScenario(t TB, sc Scenario) {
 	if t.Failed() {
 		return
 	}
-	check(t, sc, logs, live, run.sentCopy())
+	note := ""
+	if run.diskFS != nil {
+		note = fmt.Sprintf(" disk faults %v", run.diskFS.Injected())
+	}
+	check(t, sc, logs, live, run.sentCopy(), note)
 }
 
 type runner struct {

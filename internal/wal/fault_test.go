@@ -7,6 +7,7 @@ package wal_test
 // hostile-disk profile (internal/harness, FSR_SEED-replayable).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -112,49 +113,95 @@ func TestFsyncErrorPoisonsLog(t *testing.T) {
 // append after it — turning a repairable torn tail into interior
 // corruption that bricks the next Open with ErrCorrupt. With the fix, the
 // first failed write poisons the log, the garbage stays a tail, and the
-// next incarnation truncates it and recovers the pre-fault prefix.
+// next incarnation truncates it and recovers the pre-fault prefix. The
+// torn-batch row tears a whole group-commit batch of 8 KiB records.
 func TestShortWritePoisonsAndRecovers(t *testing.T) {
-	dir := t.TempDir()
-	fopts := walfault.NoOneShots()
-	fopts.FailWriteAt = 3 // flushes 0..2 land; the 4th tears
-	ffs := walfault.New(nil, fopts)
+	for _, tc := range []struct {
+		name   string
+		failAt int    // the segment write that tears
+		synced uint64 // records appended and synced one at a time first
+		batch  uint64 // records appended before the Sync whose write tears
+		size   int    // batch payload bytes; 0 keeps fe's short payloads
+	}{
+		{name: "one-record", failAt: 3, synced: 3, batch: 1}, // flushes 0..2 land; the 4th tears
+		{name: "torn-batch", failAt: 0, batch: 32, size: 8 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := func(seq uint64) wal.Entry {
+				e := fe(seq)
+				if seq > tc.synced && tc.size > 0 {
+					e.Payload = bytes.Repeat([]byte{byte(seq)}, tc.size)
+				}
+				return e
+			}
+			dir := t.TempDir()
+			fopts := walfault.NoOneShots()
+			fopts.FailWriteAt = tc.failAt
+			ffs := walfault.New(nil, fopts)
 
-	l, err := wal.Open(dir, wal.Options{FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if err := l.Append(fe(seq)); err != nil {
-			t.Fatalf("append %d: %v", seq, err)
-		}
-		if err := l.Sync(); err != nil {
-			t.Fatalf("sync %d: %v", seq, err)
-		}
-	}
-	if err := l.Append(fe(4)); err != nil {
-		t.Fatalf("append 4 buffers only, must not fail: %v", err)
-	}
-	if err := l.Sync(); !errors.Is(err, wal.ErrPoisoned) {
-		t.Fatalf("Sync over torn write = %v, want ErrPoisoned", err)
-	}
-	if err := l.Append(fe(5)); !errors.Is(err, wal.ErrPoisoned) {
-		t.Fatalf("Append after torn write = %v, want ErrPoisoned (would write after garbage)", err)
-	}
-	_ = l.Close()
+			l, err := wal.Open(dir, wal.Options{FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seq := uint64(1); seq <= tc.synced; seq++ {
+				if err := l.Append(rec(seq)); err != nil {
+					t.Fatalf("append %d: %v", seq, err)
+				}
+				if err := l.Sync(); err != nil {
+					t.Fatalf("sync %d: %v", seq, err)
+				}
+			}
+			end := tc.synced + tc.batch
+			var first error
+			for seq := tc.synced + 1; seq <= end; seq++ {
+				if err := l.Append(rec(seq)); err != nil && first == nil {
+					first = err
+				}
+			}
+			if tc.size == 0 && first != nil {
+				t.Fatalf("appending short records buffers only, must not fail: %v", first)
+			}
+			if err := l.Sync(); first == nil {
+				first = err
+			}
+			if !errors.Is(first, wal.ErrPoisoned) {
+				t.Fatalf("first error over the torn write = %v, want ErrPoisoned", first)
+			}
+			if err := l.Append(rec(end + 1)); !errors.Is(err, wal.ErrPoisoned) {
+				t.Fatalf("Append after torn write = %v, want ErrPoisoned (would write after garbage)", err)
+			}
+			_ = l.Close()
 
-	// Reopen on an honest disk: the partial record is a torn TAIL —
-	// truncated by recovery, never ErrCorrupt — and entries 1..3 survive.
-	l2, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatalf("reopen after torn write: %v", err)
-	}
-	defer l2.Close()
-	wantSeqs(t, replaySeqs(t, l2, 0), 1, 2, 3)
-	if err := l2.Append(fe(4)); err != nil {
-		t.Fatalf("append after repair: %v", err)
-	}
-	if err := l2.Sync(); err != nil {
-		t.Fatalf("sync after repair: %v", err)
+			// Reopen on an honest disk: the partial record is a torn TAIL —
+			// truncated by recovery, never ErrCorrupt — and a contiguous
+			// prefix of whole records survives, at least everything synced
+			// before the torn write.
+			l2, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatalf("reopen after torn write: %v", err)
+			}
+			defer l2.Close()
+			var got uint64
+			if err := l2.Replay(0, func(e wal.Entry) error {
+				if e.Seq != got+1 || !bytes.Equal(e.Payload, rec(e.Seq).Payload) {
+					return fmt.Errorf("recovered seq %d after %d, or its payload differs", e.Seq, got)
+				}
+				got = e.Seq
+				return nil
+			}); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			t.Logf("recovered 1..%d of 1..%d", got, end)
+			if got < tc.synced || got >= end {
+				t.Fatalf("recovered 1..%d, want at least 1..%d and less than 1..%d", got, tc.synced, end)
+			}
+			if err := l2.Append(rec(got + 1)); err != nil {
+				t.Fatalf("append after repair: %v", err)
+			}
+			if err := l2.Sync(); err != nil {
+				t.Fatalf("sync after repair: %v", err)
+			}
+		})
 	}
 }
 

@@ -415,8 +415,8 @@ func (l *Log) writeRecordLocked(e Entry) error {
 	return nil
 }
 
-// flushLocked hands the batch buffer to the active segment in one write.
-// A failed or short write may leave a partial record on disk; poisoning
+// flushLocked hands the batch buffer to the active segment in one write
+// (a non-empty buffer implies an open segment: Close drops both). A failed or short write may leave a partial record on disk; poisoning
 // here means nothing is ever written after it, so it stays a torn TAIL,
 // which the next incarnation's Open truncates — never interior corruption.
 // The buffer is kept for the next batch unless one oversize record grew it
@@ -723,10 +723,8 @@ func (l *Log) Replay(after uint64, fn func(Entry) error) error {
 	if err := l.poisoned(); err != nil {
 		return err
 	}
-	if l.f != nil {
-		if err := l.flushLocked(); err != nil {
-			return err
-		}
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	for i := range l.segs {
 		s := &l.segs[i]
@@ -777,10 +775,8 @@ func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []
 		// partial record. Peers rotate to another server.
 		return nil, false, err
 	}
-	if l.f != nil {
-		if err := l.flushLocked(); err != nil {
-			return nil, false, err
-		}
+	if err := l.flushLocked(); err != nil {
+		return nil, false, err
 	}
 	bytes := 0
 	for i := range l.segs {

@@ -3,8 +3,8 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
-
 	"strings"
 	"testing"
 	"time"
@@ -384,4 +384,110 @@ func TestReadFromPagingWithHint(t *testing.T) {
 			t.Fatalf("entry %d has seq %d", i, e.Seq)
 		}
 	}
+}
+
+// countingFS counts the writes that reach segment files.
+type countingFS struct {
+	FS
+	writes *int
+}
+
+func (c countingFS) OpenFile(path string, flag int, perm fs.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(path, flag, perm)
+	if err != nil || !strings.HasSuffix(path, ".seg") {
+		return f, err
+	}
+	return countingFile{f, c.writes}, nil
+}
+
+type countingFile struct {
+	File
+	writes *int
+}
+
+func (c countingFile) Write(p []byte) (int, error) {
+	*c.writes++
+	return c.File.Write(p)
+}
+
+// TestBatchReachesSegmentInOneWrite: a group-commit batch of 8 KiB records
+// reaches the segment as a single write at Sync, not one write per record.
+func TestBatchReachesSegmentInOneWrite(t *testing.T) {
+	writes := 0
+	l, err := Open(t.TempDir(), Options{FS: countingFS{OS, &writes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte{0xab}, 8<<10)
+	for seq := uint64(1); seq <= 64; seq++ {
+		if err := l.Append(Entry{Seq: seq, Origin: 1, LogicalID: seq, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if writes != 0 {
+		t.Fatalf("%d segment writes before Sync, want 0", writes)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if writes != 1 {
+		t.Fatalf("64 appends and one Sync made %d segment writes, want 1", writes)
+	}
+	if got := replayAll(t, l, 0); len(got) != 64 {
+		t.Fatalf("replayed %d entries, want 64", len(got))
+	}
+}
+
+// TestOversizeRecordRoundTrips: a record larger than the batch buffer's cap,
+// between small records, survives ReadFrom (which writes the batch out
+// unsynced) and Sync → reopen → Replay, and the buffer it grew is released.
+func TestOversizeRecordRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{entry(1), entry(2), entry(3), entry(4), entry(5), entry(6), entry(7)}
+	want[3].Payload = bytes.Repeat([]byte("big"), 1<<20) // 3 MiB
+	for i, e := range want {
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Seq == 5 && cap(l.buf) > 2*batchCap {
+			t.Fatalf("batch buffer still holds %d bytes after the record past the oversize one", cap(l.buf))
+		}
+		if i == 3 && cap(l.buf) <= batchCap {
+			t.Fatalf("oversize record did not grow the batch buffer (cap %d)", cap(l.buf))
+		}
+	}
+	check := func(what string, got []Entry) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq || got[i].LogicalID != want[i].LogicalID ||
+				!bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("%s: entry %d mismatch (seq %d, %d payload bytes)", what, i, got[i].Seq, len(got[i].Payload))
+			}
+		}
+	}
+	page, more, err := l.ReadFrom(0, 7, 100, 64<<20)
+	if err != nil || more {
+		t.Fatalf("ReadFrom: more=%v err=%v", more, err)
+	}
+	check("ReadFrom", page)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	check("Replay after reopen", replayAll(t, l2, 0))
 }
