@@ -60,16 +60,13 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,20 +129,11 @@ const (
 	defaultSegmentBytes = 4 << 20
 	defaultSyncEvery    = 256
 
-	// maxRecordBytes rejects absurd record lengths, which on the last
-	// segment indicates a torn tail rather than corruption.
-	maxRecordBytes = 64 << 20
-
-	recordHeader   = 8  // length + crc
-	entryFixedSize = 24 // seq + origin + logicalID + payload length
-
 	// batchCap bounds the batch buffer: Append writes it out before a
 	// record would take it past this. It grows to it on demand, never
 	// eagerly, because every Open would otherwise pay for it.
 	batchCap = 1 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a log whose interior (not its tail) fails validation.
 var ErrCorrupt = errors.New("wal: corrupt log")
@@ -155,18 +143,6 @@ var ErrCorrupt = errors.New("wal: corrupt log")
 // fail-stops instead of acking records whose durability the disk already
 // betrayed (see the package comment's failure model).
 var ErrPoisoned = errors.New("wal: poisoned by storage failure")
-
-// errTorn marks a record cut short at the end of the newest segment — the
-// expected shape of a crash mid-append, healed by truncation.
-var errTorn = errors.New("wal: torn tail")
-
-// segment is one on-disk log file.
-type segment struct {
-	path  string
-	first uint64 // seq of the first entry (0 while empty)
-	last  uint64 // seq of the last entry (0 while empty)
-	size  int64  // bytes, for the active segment including what is buffered
-}
 
 // Log is one process's write-ahead log plus snapshot store.
 type Log struct {
@@ -241,10 +217,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.loadSnapshot(snaps); err != nil {
 		return nil, err
 	}
-	if l.snap != nil {
-		l.lastSeq = l.snap.Seq
-		l.snapSeq.Store(l.snap.Seq)
-	}
 	for i := range segs {
 		if err := l.recoverSegment(&segs[i], i == len(segs)-1); err != nil {
 			return nil, err
@@ -272,172 +244,6 @@ func (l *Log) bumpGeneration() error {
 	}
 	l.gen = prev + 1
 	return writeFileAtomic(l.fsys, path, []byte(strconv.FormatUint(l.gen, 10)))
-}
-
-// scanDir classifies the directory contents.
-func scanDir(fsys FS, dir string) (segs []segment, snapSeqs []uint64, err error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	for _, name := range names {
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			if _, perr := strconv.ParseUint(name[4:len(name)-4], 16, 64); perr == nil {
-				segs = append(segs, segment{path: filepath.Join(dir, name)})
-			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if seq, perr := strconv.ParseUint(name[5:len(name)-5], 16, 64); perr == nil {
-				snapSeqs = append(snapSeqs, seq)
-			}
-		}
-	}
-	slices.SortFunc(segs, func(a, b segment) int { return strings.Compare(a.path, b.path) })
-	slices.Sort(snapSeqs)
-	return segs, snapSeqs, nil
-}
-
-// loadSnapshot loads the newest intact snapshot and removes broken ones.
-func (l *Log) loadSnapshot(seqs []uint64) error {
-	for i := len(seqs) - 1; i >= 0; i-- {
-		path := l.snapPath(seqs[i])
-		snap, err := readSnapshotFile(l.fsys, path)
-		if err != nil {
-			// A half-written snapshot (crash during WriteSnapshot before
-			// the rename... cannot happen; after a partial disk write it
-			// can): ignore it and fall back to the previous one.
-			_ = l.fsys.Remove(path)
-			continue
-		}
-		l.snap = &snap
-		return nil
-	}
-	return nil
-}
-
-// recoverSegment validates one segment — its records, and its place in the
-// segment chain against what the segments before it recovered — truncating
-// a torn tail on the last one and recording its entry bounds.
-func (l *Log) recoverSegment(s *segment, isLast bool) error {
-	f, err := l.fsys.Open(s.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	valid, err := scanRecords(f, func(e Entry) error {
-		if e.Seq == 0 {
-			if prev := e.LogicalID; prev > l.lastSeq {
-				return fmt.Errorf("%w: segment %s follows seq %d but the log before it ends at %d",
-					ErrCorrupt, s.path, prev, l.lastSeq)
-			}
-			return nil
-		}
-		if s.first == 0 {
-			s.first = e.Seq
-		}
-		s.last = e.Seq
-		if e.Seq > l.lastSeq {
-			l.lastSeq = e.Seq
-		}
-		return nil
-	})
-	s.size = valid
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, errTorn) {
-		return err
-	}
-	if !isLast {
-		return fmt.Errorf("%w: torn record inside interior segment %s", ErrCorrupt, s.path)
-	}
-	l.repairs.Add(1)
-	l.log.Info("wal repair", "segment", filepath.Base(s.path), "valid_bytes", valid, "last_seq", s.last)
-	return l.fsys.Truncate(s.path, valid)
-}
-
-// openActive opens the newest segment for appending, creating the first
-// one if the directory is fresh (or fully truncated).
-func (l *Log) openActive() error {
-	if len(l.segs) == 0 {
-		return l.createSegment(l.lastSeq + 1)
-	}
-	s := &l.segs[len(l.segs)-1]
-	f, err := l.fsys.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.f = f
-	if s.size == 0 {
-		// Emptied by a crash or a repair, chain record and all: chain it to
-		// what was recovered.
-		return l.writeChainLocked()
-	}
-	return nil
-}
-
-// createSegment starts a fresh active segment whose first entry will be
-// seq, chained to everything recorded so far. Callers hold the lock (or run
-// before the log is shared).
-func (l *Log) createSegment(seq uint64) error {
-	path := filepath.Join(l.dir, fmt.Sprintf("wal-%016x.seg", seq))
-	f, err := l.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.segs = append(l.segs, segment{path: path})
-	l.segments.Store(int64(len(l.segs)))
-	l.f = f
-	return l.writeChainLocked()
-}
-
-// writeChainLocked opens the (empty) active segment with its chain record:
-// seq 0, logicalID = the highest seq recorded before it (see the package
-// comment). It is batched, and reaches the disk with the segment's first
-// entries — a crash that loses it loses them too, leaving an empty segment
-// that chains to nothing and hides nothing.
-func (l *Log) writeChainLocked() error {
-	return l.writeRecordLocked(Entry{LogicalID: l.lastSeq})
-}
-
-// writeRecordLocked frames e onto the batch buffer, first writing out what
-// the buffer holds if e would take it past batchCap.
-func (l *Log) writeRecordLocked(e Entry) error {
-	n := recordHeader + entryFixedSize + len(e.Payload)
-	if len(l.buf) > 0 && len(l.buf)+n > batchCap {
-		if err := l.flushLocked(); err != nil {
-			return err
-		}
-	}
-	l.buf = appendRecord(l.buf, e)
-	l.segs[len(l.segs)-1].size += int64(n)
-	l.bytes.Add(int64(n))
-	return nil
-}
-
-// flushLocked hands the batch buffer to the active segment in one write
-// (a non-empty buffer implies an open segment: Close drops both). A failed or short write may leave a partial record on disk; poisoning
-// here means nothing is ever written after it, so it stays a torn TAIL,
-// which the next incarnation's Open truncates — never interior corruption.
-// The buffer is kept for the next batch unless one oversize record grew it
-// past twice batchCap.
-func (l *Log) flushLocked() error {
-	if len(l.buf) == 0 {
-		return nil
-	}
-	n, err := l.f.Write(l.buf)
-	if err == nil && n < len(l.buf) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		return l.poisonLocked(fmt.Errorf("wal: write: %w", err))
-	}
-	if cap(l.buf) > 2*batchCap {
-		l.buf = nil
-	} else {
-		l.buf = l.buf[:0]
-	}
-	return nil
 }
 
 // Generation returns this incarnation's counter (1 for the first Open of a
@@ -498,6 +304,91 @@ func (l *Log) poisoned() error {
 	return nil
 }
 
+// Stats snapshots the durability counters. Bytes counts the active
+// segment's batched-but-unwritten tail too, so it tracks what Append has
+// accepted rather than what has hit the disk. It takes no lock and touches
+// no file, so it never waits behind an fsync; the fields are each current
+// but not one coherent instant.
+func (l *Log) Stats() Stats {
+	st := Stats{
+		Segments:    int(l.segments.Load()),
+		Bytes:       l.bytes.Load(),
+		Appends:     l.appends.Load(),
+		Fsyncs:      l.fsyncs.Load(),
+		Rotations:   l.rotates.Load(),
+		Snapshots:   l.snaps.Load(),
+		SnapshotSeq: l.snapSeq.Load(),
+		Repairs:     l.repairs.Load(),
+		Poisoned:    l.poisoned() != nil,
+	}
+	if t := l.snapTime.Load(); t != 0 {
+		st.SnapshotAge = time.Since(time.Unix(0, t))
+	}
+	return st
+}
+
+// Writable probes whether the durable directory still accepts writes —
+// the readiness check for a disk yanked out from under a running node. It
+// creates and removes a marker file rather than testing permission bits,
+// so remounted-read-only and ENOSPC failures are caught too. A poisoned
+// log reports its sticky error without touching the disk: whatever the
+// probe would say now, the log already refused to trust this disk. Like
+// Stats it takes no lock.
+func (l *Log) Writable() error {
+	if err := l.poisoned(); err != nil {
+		return err
+	}
+	f, err := l.fsys.CreateTemp(l.dir, ".probe-*")
+	if err == nil {
+		_ = f.Close()
+		err = l.fsys.Remove(f.Name())
+	}
+	if err != nil {
+		return fmt.Errorf("wal: not writable: %w", err)
+	}
+	return nil
+}
+
+// writeRecordLocked frames e onto the batch buffer, first writing out what
+// the buffer holds if e would take it past batchCap.
+func (l *Log) writeRecordLocked(e Entry) error {
+	n := recordHeader + entryFixedSize + len(e.Payload)
+	if len(l.buf) > 0 && len(l.buf)+n > batchCap {
+		if err := l.flushLocked(); err != nil {
+			return err
+		}
+	}
+	l.buf = appendRecord(l.buf, e)
+	l.segs[len(l.segs)-1].size += int64(n)
+	l.bytes.Add(int64(n))
+	return nil
+}
+
+// flushLocked hands the batch buffer to the active segment in one write (a
+// non-empty buffer implies an open segment: Close drops both). A failed or
+// short write may leave a partial record on disk; poisoning here means
+// nothing is ever written after it, so it stays a torn TAIL, which the next
+// incarnation's Open truncates — never interior corruption.
+// The buffer is kept for the next batch unless one oversize record grew it
+// past twice batchCap.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	n, err := l.f.Write(l.buf)
+	if err == nil && n < len(l.buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return l.poisonLocked(fmt.Errorf("wal: write: %w", err))
+	}
+	l.buf = l.buf[:0]
+	if cap(l.buf) > 2*batchCap {
+		l.buf = nil
+	}
+	return nil
+}
+
 // Append writes one entry, rotating segments as they fill. The entry is
 // durable only after the next Sync (explicit or batched).
 func (l *Log) Append(e Entry) error {
@@ -529,22 +420,6 @@ func (l *Log) Append(e Entry) error {
 	l.unsynced++
 	if l.unsynced >= l.opts.SyncEvery {
 		return l.syncLocked()
-	}
-	return nil
-}
-
-// rotate seals the active segment and opens a new one starting at seq.
-func (l *Log) rotate(seq uint64) error {
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		return l.poisonLocked(fmt.Errorf("wal: rotate: %w", err))
-	}
-	l.rotates.Add(1)
-	l.log.Info("wal rotate", "first_seq", seq, "segments", len(l.segs)+1, "sealed_bytes", l.segs[len(l.segs)-1].size)
-	if err := l.createSegment(seq); err != nil {
-		return l.poisonLocked(err)
 	}
 	return nil
 }
@@ -599,13 +474,11 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	body := make([]byte, 0, 12+len(data))
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(data)))
-	body = append(body, data...)
-	file := make([]byte, 0, 4+len(body))
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(body, crcTable))
-	file = append(file, body...)
+	file := make([]byte, 16, 16+len(data)) // crc, then the body: seq, length, data
+	binary.LittleEndian.PutUint64(file[4:], seq)
+	binary.LittleEndian.PutUint32(file[12:], uint32(len(data)))
+	file = append(file, data...)
+	binary.LittleEndian.PutUint32(file, crc32.Checksum(file[4:], crcTable))
 	if err := writeFileAtomic(l.fsys, l.snapPath(seq), file); err != nil {
 		return l.poisonLocked(err)
 	}
@@ -652,67 +525,8 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 	return nil
 }
 
-// removeFirstLocked deletes the oldest segment, which a snapshot has made
-// redundant.
-func (l *Log) removeFirstLocked() error {
-	s := l.segs[0]
-	if err := l.fsys.Remove(s.path); err != nil && !os.IsNotExist(err) {
-		return l.poisonLocked(fmt.Errorf("wal: truncate: %w", err))
-	}
-	l.segs = l.segs[1:]
-	l.segments.Store(int64(len(l.segs)))
-	l.bytes.Add(-s.size)
-	return nil
-}
-
 func (l *Log) snapPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("snap-%016x.snap", seq))
-}
-
-// Stats snapshots the durability counters. Bytes counts the active
-// segment's batched-but-unwritten tail too, so it tracks what Append has
-// accepted rather than what has hit the disk. It takes no lock and touches
-// no file, so it never waits behind an fsync; the fields are each current
-// but not one coherent instant.
-func (l *Log) Stats() Stats {
-	st := Stats{
-		Segments:    int(l.segments.Load()),
-		Bytes:       l.bytes.Load(),
-		Appends:     l.appends.Load(),
-		Fsyncs:      l.fsyncs.Load(),
-		Rotations:   l.rotates.Load(),
-		Snapshots:   l.snaps.Load(),
-		SnapshotSeq: l.snapSeq.Load(),
-		Repairs:     l.repairs.Load(),
-		Poisoned:    l.poisoned() != nil,
-	}
-	if t := l.snapTime.Load(); t != 0 {
-		st.SnapshotAge = time.Since(time.Unix(0, t))
-	}
-	return st
-}
-
-// Writable probes whether the durable directory still accepts writes —
-// the readiness check for a disk yanked out from under a running node. It
-// creates and removes a marker file rather than testing permission bits,
-// so remounted-read-only and ENOSPC failures are caught too. A poisoned
-// log reports its sticky error without touching the disk: whatever the
-// probe would say now, the log already refused to trust this disk. Like
-// Stats it takes no lock.
-func (l *Log) Writable() error {
-	if err := l.poisoned(); err != nil {
-		return err
-	}
-	f, err := l.fsys.CreateTemp(l.dir, ".probe-*")
-	if err != nil {
-		return fmt.Errorf("wal: not writable: %w", err)
-	}
-	name := f.Name()
-	_ = f.Close()
-	if err := l.fsys.Remove(name); err != nil {
-		return fmt.Errorf("wal: not writable: %w", err)
-	}
-	return nil
 }
 
 // Replay streams every retained entry with Seq > after, in order — the
@@ -731,36 +545,36 @@ func (l *Log) Replay(after uint64, fn func(Entry) error) error {
 		if s.first == 0 || s.last <= after {
 			continue
 		}
-		f, err := l.fsys.Open(s.path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		_, err = scanRecords(f, func(e Entry) error {
+		if _, err := l.readSegment(s, 0, func(e Entry) error {
 			if e.Seq <= after {
 				return nil
 			}
 			return fn(e)
-		})
-		_ = f.Close()
-		if err != nil {
-			return readErr(s.path, err)
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// readErr is what Replay and ReadFrom make of a failed segment scan. Open
-// already truncated every torn tail and the caller flushed the buffer, so a
-// record that fails validation now came back from the disk corrupted (a
-// bit flip on the read path): skipping the rest of the segment, as a torn
-// tail is skipped on Open, would hand the caller the order with a hole in
-// it. It is ErrCorrupt instead — the owner refuses the log (restart) or the
-// page (serving).
-func readErr(path string, err error) error {
-	if errors.Is(err, errTorn) {
-		return fmt.Errorf("%w: record in %s failed validation on read", ErrCorrupt, path)
+// readSegment is the segment scan behind Replay and ReadFrom. Open already
+// truncated every torn tail and the caller flushed the buffer, so a record
+// that fails validation now came back from the disk corrupted (a bit flip
+// on the read path): skipping the rest of the segment, as a torn tail is
+// skipped on Open, would hand the caller the order with a hole in it. It is
+// ErrCorrupt instead — the owner refuses the log (restart) or the page
+// (serving).
+func (l *Log) readSegment(s *segment, off int64, fn func(Entry) error) (int64, error) {
+	f, err := l.fsys.Open(s.path)
+	if err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
 	}
-	return err
+	defer f.Close()
+	valid, err := scanRecords(f, off, fn)
+	if errors.Is(err, errTorn) {
+		err = fmt.Errorf("%w: record in %s failed validation on read", ErrCorrupt, s.path)
+	}
+	return valid, err
 }
 
 // ReadFrom returns retained entries with after < Seq <= upTo, bounded by
@@ -788,11 +602,7 @@ func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []
 		if l.hint.path == s.path && l.hint.after == after {
 			start = l.hint.off
 		}
-		f, err := l.fsys.Open(s.path)
-		if err != nil {
-			return nil, false, fmt.Errorf("wal: %w", err)
-		}
-		valid, serr := scanRecordsAt(f, start, func(e Entry) error {
+		valid, err := l.readSegment(s, start, func(e Entry) error {
 			if e.Seq <= after || e.Seq > upTo {
 				return nil
 			}
@@ -804,9 +614,8 @@ func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []
 			bytes += len(e.Payload)
 			return nil
 		})
-		_ = f.Close()
-		if serr != nil && !errors.Is(serr, errPageFull) {
-			return nil, false, readErr(s.path, serr)
+		if err != nil && !errors.Is(err, errPageFull) {
+			return nil, false, err
 		}
 		if more {
 			if len(entries) > 0 {
@@ -842,78 +651,22 @@ func (l *Log) Close() error {
 	return err
 }
 
-// appendRecord frames one entry onto buf.
-func appendRecord(buf []byte, e Entry) []byte {
-	bodyLen := entryFixedSize + len(e.Payload)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen))
-	crcAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // crc placeholder
-	bodyAt := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, e.Origin)
-	buf = binary.LittleEndian.AppendUint64(buf, e.LogicalID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	buf = append(buf, e.Payload...)
-	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.Checksum(buf[bodyAt:], crcTable))
-	return buf
-}
-
-// scanRecords streams every intact record of one segment to fn. It returns
-// the byte offset of the end of the last intact record; a short or
-// corrupt tail is reported as errTorn (the caller decides whether that is
-// legal), any error from fn is passed through.
-func scanRecords(f File, fn func(Entry) error) (int64, error) {
-	return scanRecordsAt(f, 0, fn)
-}
-
-// scanRecordsAt is scanRecords starting at byte offset off; the returned
-// offset is relative to off.
-func scanRecordsAt(f File, off int64, fn func(Entry) error) (int64, error) {
-	if off > 0 {
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
+// loadSnapshot loads the newest intact snapshot and removes broken ones.
+func (l *Log) loadSnapshot(seqs []uint64) error {
+	for i := len(seqs) - 1; i >= 0; i-- {
+		path := l.snapPath(seqs[i])
+		snap, err := readSnapshotFile(l.fsys, path)
+		if err != nil {
+			// A snapshot a partial disk write broke: fall back to the
+			// previous one.
+			_ = l.fsys.Remove(path)
+			continue
 		}
+		l.snap, l.lastSeq = &snap, snap.Seq
+		l.snapSeq.Store(snap.Seq)
+		return nil
 	}
-	r := bufio.NewReader(f)
-	var valid int64
-	hdr := make([]byte, recordHeader)
-	var body []byte
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				return valid, nil
-			}
-			return valid, errTorn // io.ErrUnexpectedEOF: partial header
-		}
-		length := binary.LittleEndian.Uint32(hdr)
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if length < entryFixedSize || length > maxRecordBytes {
-			return valid, errTorn
-		}
-		if cap(body) < int(length) {
-			body = make([]byte, length)
-		}
-		body = body[:length]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return valid, errTorn
-		}
-		if crc32.Checksum(body, crcTable) != crc {
-			return valid, errTorn
-		}
-		var e Entry
-		e.Seq = binary.LittleEndian.Uint64(body)
-		e.Origin = binary.LittleEndian.Uint32(body[8:])
-		e.LogicalID = binary.LittleEndian.Uint64(body[12:])
-		plen := binary.LittleEndian.Uint32(body[20:])
-		if int(plen) != len(body)-entryFixedSize {
-			return valid, errTorn
-		}
-		e.Payload = slices.Clone(body[entryFixedSize:])
-		if err := fn(e); err != nil {
-			return valid, err
-		}
-		valid += recordHeader + int64(length)
-	}
+	return nil
 }
 
 // readSnapshotFile loads and validates one snapshot file.
@@ -925,9 +678,8 @@ func readSnapshotFile(fsys FS, path string) (Snapshot, error) {
 	if len(b) < 16 {
 		return Snapshot{}, fmt.Errorf("%w: short snapshot %s", ErrCorrupt, path)
 	}
-	crc := binary.LittleEndian.Uint32(b)
 	body := b[4:]
-	if crc32.Checksum(body, crcTable) != crc {
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b) {
 		return Snapshot{}, fmt.Errorf("%w: snapshot crc %s", ErrCorrupt, path)
 	}
 	seq := binary.LittleEndian.Uint64(body)
@@ -947,18 +699,17 @@ func writeFileAtomic(fsys FS, path string, data []byte) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer fsys.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
 	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	_ = fsys.SyncDir(dir)
