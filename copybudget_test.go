@@ -77,6 +77,7 @@ func TestPublishCopyBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	addrs := ct.Addrs()
 	pub, err := client.Dial(client.Config{Addrs: addrs[:1], Window: 256})
 	if err != nil {

@@ -1,14 +1,19 @@
 package fsr_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fsr"
+	"fsr/internal/obs"
 	"fsr/transport/mem"
 )
 
@@ -426,4 +431,67 @@ func TestRestartOverTCP(t *testing.T) {
 	writeBatch(t, cluster.Nodes(), 120, 30)
 	logs := waitAppliedLogs(t, reg, ids, 150)
 	assertSameAppliedLog(t, logs[ids[0]], logs[ids[1]], "restarted node (tcp)")
+}
+
+// TestWALRecyclesSegmentFiles: after two snapshot cycles every member has
+// reused a segment file the first one freed, and the exported
+// fsr_wal_segments and fsr_wal_bytes still count only the live segments,
+// not the pooled files beside them.
+func TestWALRecyclesSegmentFiles(t *testing.T) {
+	base := t.TempDir()
+	cfg := fsr.ClusterConfig{N: 3, T: 1, NodeConfig: durableConfig()}.
+		WithDurableDir(base).WithStateMachines(newSMRegistry().factory)
+	cluster, err := fsr.NewCluster(cfg, fsr.MemTransport(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	watchCluster(t, cluster)
+	for start := 0; start < 180; start += 60 { // a snapshot after each: SnapshotEvery is 48
+		writeBatch(t, cluster.Nodes(), start, 60)
+	}
+	var last uint64
+	for _, n := range cluster.Nodes() {
+		last = max(last, n.Applied())
+	}
+	settle(t, cluster, last)
+	for _, n := range cluster.Nodes() {
+		w := n.Metrics().WAL
+		if w.Snapshots < 2 || w.Recycled == 0 {
+			t.Fatalf("node %d: %d snapshots, %d segment files recycled; want two cycles and a reuse", n.Self(), w.Snapshots, w.Recycled)
+		}
+		var doc bytes.Buffer
+		if err := obs.WriteNodeMetrics(&doc, uint32(n.Self()), n.Metrics()); err != nil {
+			t.Fatal(err)
+		}
+		des, err := os.ReadDir(filepath.Join(base, fmt.Sprintf("node-%d", n.Self())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, free := 0, 0
+		var liveBytes int64
+		for _, de := range des {
+			switch {
+			case strings.HasPrefix(de.Name(), "wal-"):
+				fi, err := de.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				live++
+				liveBytes += fi.Size()
+			case strings.HasPrefix(de.Name(), "free-"):
+				free++
+			}
+		}
+		want := fmt.Sprintf("fsr_wal_segments{node=\"%d\"} %d\n", n.Self(), live)
+		if !strings.Contains(doc.String(), want) {
+			t.Errorf("node %d: exposition lacks %q beside %d pooled files", n.Self(), want, free)
+		}
+		// A recycled active segment may still hold an earlier life's bytes
+		// past its live ones; the gauge counts only the live ones.
+		if w.Bytes <= 0 || w.Bytes > liveBytes || !strings.Contains(doc.String(),
+			fmt.Sprintf("fsr_wal_bytes{node=\"%d\"} %d\n", n.Self(), w.Bytes)) {
+			t.Errorf("node %d: fsr_wal_bytes %d, live segment files hold %d bytes", n.Self(), w.Bytes, liveBytes)
+		}
+	}
 }

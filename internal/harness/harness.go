@@ -280,7 +280,7 @@ func RunScenario(t TB, sc Scenario) {
 	}
 	note := ""
 	if run.diskFS != nil {
-		note = fmt.Sprintf(" disk faults %v", run.diskFS.Injected())
+		note = fmt.Sprintf(" disk faults %v, %d segment files recycled", run.diskFS.Injected(), run.diskRecycled())
 	}
 	check(t, sc, logs, live, run.sentCopy(), note)
 }
@@ -305,6 +305,7 @@ type runner struct {
 	nextID   fsr.ProcID
 	sent     []sent
 	edges    []*edgeRun
+	recycled uint64 // segment files the hostile-disk member reused, banked at each crash
 }
 
 // sender issues this sender's share of the workload against a home node,

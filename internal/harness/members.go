@@ -84,9 +84,28 @@ func (r *runner) down(idx int) bool {
 	}
 	r.mu.Unlock()
 	if up {
+		if r.diskFS != nil && idx == r.sc.DiskNode {
+			n := r.cluster.Node(idx).Metrics().WAL.Recycled
+			r.mu.Lock()
+			r.recycled += n
+			r.mu.Unlock()
+		}
 		r.cluster.Crash(idx)
 	}
 	return up
+}
+
+// diskRecycled reports how many segment files the hostile-disk member has
+// reused across its incarnations: those banked as each went down, plus the
+// running one's.
+func (r *runner) diskRecycled() uint64 {
+	r.mu.Lock()
+	n := r.recycled
+	r.mu.Unlock()
+	if !r.isDown(r.sc.DiskNode) {
+		n += r.cluster.Node(r.sc.DiskNode).Metrics().WAL.Recycled
+	}
+	return n
 }
 
 // revive takes member idx off the restart queue, restarts it from its

@@ -62,6 +62,7 @@ func WriteNodeMetrics(w io.Writer, self uint32, m fsr.Metrics) error {
 	p.Counter("fsr_wal_appends_total", "Entries appended to the durable log.", m.WAL.Appends, "node", node)
 	p.Counter("fsr_wal_fsyncs_total", "Durable-log fsync calls.", m.WAL.Fsyncs, "node", node)
 	p.Counter("fsr_wal_rotations_total", "Durable-log segment rotations.", m.WAL.Rotations, "node", node)
+	p.Counter("fsr_wal_recycled_total", "Durable-log segment files reused from the snapshot-freed pool.", m.WAL.Recycled, "node", node)
 	p.Counter("fsr_wal_snapshots_total", "State-machine snapshots written this incarnation.", m.WAL.Snapshots, "node", node)
 	p.Gauge("fsr_wal_snapshot_seq", "Sequence number the latest snapshot covers.", float64(m.WAL.SnapshotSeq), "node", node)
 	p.Gauge("fsr_wal_snapshot_age_seconds", "Seconds since the latest snapshot was written.", m.WAL.SnapshotAge.Seconds(), "node", node)
@@ -101,6 +102,7 @@ func WriteEdgeMetrics(w io.Writer, self uint32, m edge.Metrics) error {
 	p.Counter("fsr_edge_wal_appends_total", "Entries appended to the durable store.", m.WAL.Appends, "edge", id)
 	p.Counter("fsr_edge_wal_fsyncs_total", "Durable-store fsync calls.", m.WAL.Fsyncs, "edge", id)
 	p.Counter("fsr_edge_wal_rotations_total", "Durable-store segment rotations.", m.WAL.Rotations, "edge", id)
+	p.Counter("fsr_edge_wal_recycled_total", "Durable-store segment files reused from the snapshot-freed pool.", m.WAL.Recycled, "edge", id)
 	p.Counter("fsr_edge_wal_snapshots_total", "Replicated snapshots persisted this incarnation.", m.WAL.Snapshots, "edge", id)
 	p.Gauge("fsr_edge_wal_snapshot_seq", "Offset the latest persisted snapshot covers.", float64(m.WAL.SnapshotSeq), "edge", id)
 	p.Gauge("fsr_edge_wal_snapshot_age_seconds", "Seconds since the latest snapshot was persisted.", m.WAL.SnapshotAge.Seconds(), "edge", id)

@@ -254,6 +254,12 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatal("/readyz did not recover")
 	}
 
+	// The profiling endpoints share the listener: a member is profiled
+	// live, with no special build.
+	if code, body, _ := get("/debug/pprof/goroutine?debug=1"); code != http.StatusOK ||
+		!strings.Contains(body, "goroutine profile:") {
+		t.Fatalf("/debug/pprof/goroutine?debug=1 = %d %.80q, want 200 and a goroutine profile", code, body)
+	}
 	if code, _, _ := get("/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown path = %d, want 404", code)
 	}

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 )
@@ -35,8 +36,10 @@ type Server struct {
 }
 
 // Serve starts the observability HTTP endpoint: GET /metrics (Prometheus
-// text), GET /healthz (liveness), GET /readyz (readiness). It serves until
-// Close.
+// text), GET /healthz (liveness), GET /readyz (readiness), and the runtime
+// profiles of net/http/pprof under /debug/pprof/ — which expose stacks and
+// heap contents, so the listener belongs on a private address. It serves
+// until Close.
 func Serve(cfg Config) (*Server, error) {
 	if cfg.Addr == "" || cfg.Metrics == nil {
 		return nil, fmt.Errorf("obs: Addr and Metrics are required")
@@ -56,6 +59,11 @@ func Serve(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		probe(w, cfg.Ready)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s := &Server{ln: ln, srv: &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,

@@ -261,7 +261,8 @@ func TestLyingFsyncCrashLosesOnlyCleanSuffix(t *testing.T) {
 }
 
 // TestSnapshotCrashAtomicity injects a failure at each stage of
-// WriteSnapshot — temp-file creation, rename, segment truncation — and
+// WriteSnapshot — temp-file creation, rename, segment truncation (the
+// rename that retires a covered segment to the pool) — and
 // asserts the invariant the atomic sequence exists for: a reopened log
 // never loses entries above the last *durable* snapshot.
 func TestSnapshotCrashAtomicity(t *testing.T) {
@@ -334,7 +335,7 @@ func TestSnapshotCrashAtomicity(t *testing.T) {
 	t.Run("eio-mid-truncation", func(t *testing.T) {
 		dir := t.TempDir()
 		fopts := walfault.NoOneShots()
-		fopts.FailRemoveAt = 3 // 0: gen tmp defer, 1: snap tmp defer, 2: first covered seg, 3: second
+		fopts.FailRenameAt = 3 // 0: gen install, 1: snapshot install, 2: first covered seg, 3: second
 		ffs := walfault.New(nil, fopts)
 		// A chain record and one ~40-byte record fill a 64-byte segment.
 		l, err := wal.Open(dir, wal.Options{FS: ffs, SegmentBytes: 64})

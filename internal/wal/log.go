@@ -6,8 +6,12 @@
 // Layout of a durable directory:
 //
 //	gen                incarnation counter, bumped by every Open
-//	wal-<seq>.seg      log segments; the hex name is the sequence number
-//	                   of the first entry the segment holds
+//	wal-<seq>.seg      log segments; the hex name is the segment's base,
+//	                   the sequence number its first entry holds or will
+//	                   hold, and no entry in it is below the base
+//	free-<seq>.seg     segment files a snapshot freed, pooled for reuse;
+//	                   the hex name is at or above the seq of every record
+//	                   the file still holds
 //	snap-<seq>.snap    state-machine snapshots; the hex name is the last
 //	                   sequence number folded into the snapshot
 //
@@ -39,6 +43,39 @@
 // WriteSnapshot's truncation chains to the snapshot's seq. A segment
 // without a chain record (written before the chain existed) is accepted as
 // it was.
+//
+// # Recycled segments
+//
+// WriteSnapshot renames the segment files it frees out of the wal-*.seg
+// namespace into the pool instead of deleting them, keeping as many as that
+// truncation freed; a new segment takes a pooled file, renamed into place
+// and overwritten from offset 0, before it creates one. In steady state an
+// append then neither grows a file nor allocates a block, and its fsync
+// commits no size change. The directory holds at most the live segments
+// plus the pool, which is never more files than it held before the last
+// truncation. A fresh directory has no pool and creates its files.
+//
+// A recycled file still holds its earlier lives' records past the bytes
+// written in this one, and none of them may validate as an entry. The
+// validity rule: every live entry's seq is at or above its segment's base;
+// a file is pooled under a bound at or above every seq it holds, and only
+// reused for a base above that bound; so every stale record's seq is below
+// the base. Recovery therefore ends a segment's live bytes at an entry below
+// the base, or at a chain record that is not the segment's first record
+// (seq 0 marks a record that is not an entry; a later record kind must
+// carry a seq to be held to the base), and truncates what follows, as it
+// does a torn tail. Replay and ReadFrom read only a segment's live bytes.
+// Sealing a recycled segment, at rotation or Close, cuts it to its live
+// bytes before its fsync, so no sealed segment carries stale bytes that
+// would read as an interior tear.
+//
+// Renaming a pooled file into place, like creating a file, relies on the
+// segment's first fsync committing its directory entry (ext4 and XFS
+// journal it with the file's metadata); walfault does not model a lost
+// directory entry. A cleanly closed directory reads the same under a build
+// that predates the pool: it ignores free-*.seg, and every wal-*.seg ends
+// at its live bytes. After a crash it must not be opened by such a build,
+// whose recovery would take a recycled file's stale records for entries.
 //
 // # Failure model
 //
@@ -118,6 +155,7 @@ type Stats struct {
 	Appends     uint64        // entries appended this incarnation
 	Fsyncs      uint64        // fsync calls on the active segment
 	Rotations   uint64        // segment rotations this incarnation
+	Recycled    uint64        // pooled segment files reused this incarnation
 	Snapshots   uint64        // snapshots written this incarnation
 	SnapshotSeq uint64        // seq covered by the latest snapshot (0 if none)
 	SnapshotAge time.Duration // since the latest snapshot written this incarnation (0 if none)
@@ -153,6 +191,7 @@ type Log struct {
 	gen  uint64
 
 	segs     []segment // ascending by first seq; the final one is active
+	pool     []pooled  // ascending by bound: the files truncation freed
 	f        File      // active segment
 	buf      []byte    // framed records not yet written to f; see flushLocked
 	unsynced int
@@ -176,6 +215,7 @@ type Log struct {
 	snapSeq  atomic.Uint64
 	snapTime atomic.Int64 // UnixNano of the latest WriteSnapshot, 0 if none
 	repairs  atomic.Uint64
+	recycled atomic.Uint64
 }
 
 // readHint remembers where the last ReadFrom page ended, so a paged
@@ -210,10 +250,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.bumpGeneration(); err != nil {
 		return nil, err
 	}
-	segs, snaps, err := scanDir(l.fsys, dir)
+	segs, pool, snaps, err := scanDir(l.fsys, dir)
 	if err != nil {
 		return nil, err
 	}
+	l.pool = pool
 	if err := l.loadSnapshot(snaps); err != nil {
 		return nil, err
 	}
@@ -316,6 +357,7 @@ func (l *Log) Stats() Stats {
 		Appends:     l.appends.Load(),
 		Fsyncs:      l.fsyncs.Load(),
 		Rotations:   l.rotates.Load(),
+		Recycled:    l.recycled.Load(),
 		Snapshots:   l.snaps.Load(),
 		SnapshotSeq: l.snapSeq.Load(),
 		Repairs:     l.repairs.Load(),
@@ -462,8 +504,8 @@ func (l *Log) syncLocked() error {
 //
 // Crash atomicity: entries are fsynced first, the snapshot file lands via
 // write-temp/fsync/rename/dir-sync, and only then are covered segments
-// removed — so at every intermediate crash point the directory holds
-// either the old snapshot with all its segments or the new snapshot
+// retired to the pool — so at every intermediate crash point the directory
+// holds either the old snapshot with all its segments or the new snapshot
 // (possibly with now-redundant segments, which replay harmlessly). Any
 // failure mid-sequence poisons the log: a half-truncated directory must
 // not accept further appends, but reopening it recovers every entry above
@@ -497,10 +539,12 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 	}
 	// Truncation: a non-active segment whose entries are all covered by
 	// the snapshot will never be replayed or served again.
+	freed := 0
 	for len(l.segs) > 1 && l.segs[0].last <= seq {
-		if err := l.removeFirstLocked(); err != nil {
+		if err := l.retireFirstLocked(); err != nil {
 			return err
 		}
+		freed++
 	}
 	// When the snapshot covers the active segment too — always true for
 	// the cadence snapshot at the current cursor, and for a state
@@ -513,11 +557,17 @@ func (l *Log) WriteSnapshot(seq uint64, data []byte) error {
 		if err := l.f.Close(); err != nil {
 			return l.poisonLocked(fmt.Errorf("wal: %w", err))
 		}
-		for len(l.segs) > 0 {
-			if err := l.removeFirstLocked(); err != nil {
-				return err
-			}
+		if err := l.retireFirstLocked(); err != nil {
+			return err
 		}
+		freed++
+	}
+	if freed > 0 {
+		if err := l.trimPoolLocked(freed); err != nil {
+			return err
+		}
+	}
+	if len(l.segs) == 0 {
 		if err := l.createSegment(seq + 1); err != nil {
 			return l.poisonLocked(err)
 		}
@@ -557,12 +607,12 @@ func (l *Log) Replay(after uint64, fn func(Entry) error) error {
 	return nil
 }
 
-// readSegment is the segment scan behind Replay and ReadFrom. Open already
-// truncated every torn tail and the caller flushed the buffer, so a record
-// that fails validation now came back from the disk corrupted (a bit flip
-// on the read path): skipping the rest of the segment, as a torn tail is
-// skipped on Open, would hand the caller the order with a hole in it. It is
-// ErrCorrupt instead — the owner refuses the log (restart) or the page
+// readSegment scans a segment's live bytes for Replay and ReadFrom. Open
+// already truncated every torn tail and the caller flushed the buffer, so a
+// record that fails validation now came back from the disk corrupted (a bit
+// flip on the read path): skipping the rest of the segment, as a torn tail
+// is skipped on Open, would hand the caller the order with a hole in it. It
+// is ErrCorrupt instead — the owner refuses the log (restart) or the page
 // (serving).
 func (l *Log) readSegment(s *segment, off int64, fn func(Entry) error) (int64, error) {
 	f, err := l.fsys.Open(s.path)
@@ -570,7 +620,7 @@ func (l *Log) readSegment(s *segment, off int64, fn func(Entry) error) (int64, e
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	valid, err := scanRecords(f, off, fn)
+	valid, err := scanRecords(f, off, s.size, fn)
 	if errors.Is(err, errTorn) {
 		err = fmt.Errorf("%w: record in %s failed validation on read", ErrCorrupt, s.path)
 	}
@@ -630,7 +680,7 @@ func (l *Log) ReadFrom(after, upTo uint64, maxEntries, maxBytes int) (entries []
 // errPageFull stops a ReadFrom scan once the page limits are hit.
 var errPageFull = errors.New("wal: page full")
 
-// Close writes the batch, fsyncs and releases the active segment. A
+// Close writes the batch, seals and releases the active segment. A
 // poisoned log releases the file handle without writing (a partial record
 // may already be on disk) and returns the sticky error.
 func (l *Log) Close() error {
@@ -641,7 +691,7 @@ func (l *Log) Close() error {
 		return err
 	}
 	if err == nil {
-		err = l.syncLocked()
+		err = l.sealLocked()
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

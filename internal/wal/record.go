@@ -24,6 +24,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // expected shape of a crash mid-append, healed by truncation.
 var errTorn = errors.New("wal: torn tail")
 
+// errStale marks a whole record a recycled file kept from an earlier life:
+// the segment's live bytes end where it starts (see the package comment).
+var errStale = errors.New("wal: stale record")
+
 // writeChainLocked opens the (empty) active segment with its chain record:
 // seq 0, logicalID = the highest seq recorded before it (see the package
 // comment). It is batched, and reaches the disk with the segment's first
@@ -50,10 +54,11 @@ func appendRecord(buf []byte, e Entry) []byte {
 }
 
 // scanRecords streams every intact record of one segment from byte offset
-// off to fn. It returns the offset, relative to off, of the end of the last
-// intact record; a short or corrupt tail is reported as errTorn (the caller
+// off up to byte offset end (to the end of the file if end is negative) to
+// fn. It returns the offset, relative to off, of the end of the last intact
+// record; a short or corrupt tail is reported as errTorn (the caller
 // decides whether that is legal), any error from fn is passed through.
-func scanRecords(f File, off int64, fn func(Entry) error) (int64, error) {
+func scanRecords(f File, off, end int64, fn func(Entry) error) (int64, error) {
 	if off > 0 {
 		if _, err := f.Seek(off, io.SeekStart); err != nil {
 			return 0, fmt.Errorf("wal: %w", err)
@@ -64,6 +69,9 @@ func scanRecords(f File, off int64, fn func(Entry) error) (int64, error) {
 	hdr := make([]byte, recordHeader)
 	var body []byte
 	for {
+		if end >= 0 && off+valid >= end {
+			return valid, nil
+		}
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			if errors.Is(err, io.EOF) {
 				return valid, nil

@@ -88,7 +88,7 @@ func TestSegmentRotation(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _, err := scanDir(OS, dir)
+	segs, _, _, err := scanDir(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: chop bytes off the active segment.
-	segs, _, err := scanDir(OS, dir)
+	segs, _, _, err := scanDir(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSnapshotTruncatesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 1, 200)
-	before, _, err := scanDir(OS, dir)
+	before, _, _, err := scanDir(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSnapshotTruncatesSegments(t *testing.T) {
 	if first == 0 || first > 151 || last != 200 {
 		t.Fatalf("Bounds after snapshot = (%d, %d)", first, last)
 	}
-	after, _, err := scanDir(OS, dir)
+	after, _, _, err := scanDir(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,4 +490,97 @@ func TestOversizeRecordRoundTrips(t *testing.T) {
 	}
 	defer l2.Close()
 	check("Replay after reopen", replayAll(t, l2, 0))
+}
+
+// TestPoolCyclesLeaveLiveBytesOnly runs snapshot cycles that retire sealed
+// and active segments alike and reuse their files at rotation, with record
+// sizes that make each life end short of or past the one before it. The
+// pool never grows the directory past what it held before a truncation,
+// Stats counts only live segments, and after Close every wal-*.seg holds
+// nothing but live records — what a build without the pool recovers the
+// same way.
+func TestPoolCyclesLeaveLiveBytesOnly(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := func() (wal, free int, walBytes int64) {
+		t.Helper()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range des {
+			switch {
+			case strings.HasPrefix(de.Name(), "wal-"):
+				fi, err := de.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wal++
+				walBytes += fi.Size()
+			case strings.HasPrefix(de.Name(), "free-"):
+				free++
+			}
+		}
+		return wal, free, walBytes
+	}
+	seq := uint64(0)
+	for cycle := 0; cycle < 12; cycle++ {
+		for i := 0; i < 30+cycle%4*7; i++ {
+			seq++
+			e := entry(seq)
+			e.Payload = bytes.Repeat([]byte{byte(seq)}, int(seq*37%61))
+			if err := l.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		wal, free, walBytes := files()
+		if st := l.Stats(); st.Segments != wal || (!l.segs[len(l.segs)-1].recycled && st.Bytes != walBytes) {
+			t.Fatalf("cycle %d: Stats counts %d segments of %d bytes, directory holds %d wal files of %d bytes",
+				cycle, st.Segments, st.Bytes, wal, walBytes)
+		}
+		at := seq
+		if cycle%3 == 1 {
+			at = seq - 9 // leaves the active segment live: only sealed ones retire
+		}
+		if err := l.WriteSnapshot(at, []byte("state")); err != nil {
+			t.Fatal(err)
+		}
+		if w, f, _ := files(); w+f > wal+free {
+			t.Fatalf("cycle %d: %d wal and %d free files after the truncation, %d before", cycle, w, f, wal+free)
+		}
+	}
+	if l.Stats().Recycled == 0 {
+		t.Fatal("twelve snapshot cycles recycled no segment file")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _, _, err := scanDir(OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		f, err := OS.Open(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		_, err = scanRecords(f, 0, -1, func(e Entry) error {
+			records++
+			if (e.Seq == 0 && records > 1) || (e.Seq != 0 && e.Seq < s.base) {
+				return fmt.Errorf("record %d (seq %d) is an earlier life's", records, e.Seq)
+			}
+			return nil
+		})
+		_ = f.Close()
+		if err != nil {
+			t.Fatalf("closed segment %s: %v", s.path, err)
+		}
+	}
 }

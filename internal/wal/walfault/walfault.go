@@ -20,7 +20,13 @@
 // Crash semantics: the layer tracks a durable watermark per tracked file
 // (advanced by honest fsyncs, frozen once a file's fsync has lied) and
 // Crash() truncates every tracked file back to its watermark — the
-// power-cut that reveals which acks the disk actually honored.
+// power-cut that reveals which acks the disk actually honored. Writes land
+// at the handle's offset, so a recycled file is overwritten in place: the
+// first overwrite of durable bytes since the last honest fsync saves the
+// file's durable image, and Crash() writes it back. A range an fsync lied
+// about therefore reads back as the file's earlier life, the worst case a
+// reused file can show. Directory entries (creates, renames, removes) are
+// durable at once: the layer does not model a lost one.
 //
 // Scope restrictions keep the injected faults realistic rather than
 // adversarial beyond the model: lying fsyncs and read bit-flips target only
@@ -31,6 +37,7 @@ package walfault
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -58,26 +65,30 @@ type Options struct {
 	ENOSPCEvery   int // create/rename failures (rotate & snapshot paths)
 	FlipEvery     int // one-bit corruption on .seg/.snap reads
 
-	FailWriteAt  int // one-shot torn write on the Nth tracked write
-	FailFsyncAt  int // one-shot honest fsync error on the Nth fsync
-	LieFsyncAt   int // one-shot lying fsync on the Nth fsync
-	FailCreateAt int // one-shot ENOSPC on the Nth create (OpenFile|CreateTemp)
-	FailRenameAt int // one-shot ENOSPC on the Nth rename
-	FailRemoveAt int // one-shot EIO on the Nth remove
-	FlipReadAt   int // one-shot bit-flip on the Nth read op
+	FailWriteAt int // one-shot torn write on the Nth tracked write
+	// FailWriteKeep is how many bytes of its write the one-shot torn write
+	// lands (at most all of them; -1 draws a strict prefix from the seed).
+	FailWriteKeep int
+	FailFsyncAt   int // one-shot honest fsync error on the Nth fsync
+	LieFsyncAt    int // one-shot lying fsync on the Nth fsync
+	FailCreateAt  int // one-shot ENOSPC on the Nth create (OpenFile|CreateTemp)
+	FailRenameAt  int // one-shot ENOSPC on the Nth rename
+	FailRemoveAt  int // one-shot EIO on the Nth remove
+	FlipReadAt    int // one-shot bit-flip on the Nth read op
 }
 
 // NoOneShots returns Options with every one-shot index disabled; callers
 // then enable the faults they want.
 func NoOneShots() Options {
 	return Options{
-		FailWriteAt:  -1,
-		FailFsyncAt:  -1,
-		LieFsyncAt:   -1,
-		FailCreateAt: -1,
-		FailRenameAt: -1,
-		FailRemoveAt: -1,
-		FlipReadAt:   -1,
+		FailWriteAt:   -1,
+		FailWriteKeep: -1,
+		FailFsyncAt:   -1,
+		LieFsyncAt:    -1,
+		FailCreateAt:  -1,
+		FailRenameAt:  -1,
+		FailRemoveAt:  -1,
+		FlipReadAt:    -1,
 	}
 }
 
@@ -95,9 +106,10 @@ const (
 
 // fileState tracks what the fake platter holds for one file.
 type fileState struct {
-	size    int64 // bytes the file-layer has accepted
-	durable int64 // bytes an honest fsync has committed
-	lying   bool  // fsync has lied once; watermark frozen forever
+	size    int64  // bytes the file-layer has accepted
+	durable int64  // bytes an honest fsync has committed
+	lying   bool   // fsync has lied once; watermark frozen forever
+	orig    []byte // durable bytes, saved at the first overwrite since an honest fsync
 }
 
 // FS is the injecting filesystem. One instance models one disk: share it
@@ -202,6 +214,15 @@ func (f *FS) Crash() error {
 	defer f.mu.Unlock()
 	var firstErr error
 	for path, st := range f.files {
+		if st.orig != nil {
+			if err := f.restore(path, st.orig); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
+			}
+			st.orig = nil
+		}
 		if st.durable < st.size {
 			if err := f.inner.Truncate(path, st.durable); err != nil {
 				if firstErr == nil {
@@ -214,6 +235,35 @@ func (f *FS) Crash() error {
 		st.lying = false
 	}
 	return firstErr
+}
+
+// restore writes a file's saved durable image back over its head.
+func (f *FS) restore(path string, orig []byte) error {
+	w, err := f.inner.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(orig)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// saveLocked keeps a file's durable image before the first write since the
+// last honest fsync that lands inside it. Callers hold f.mu.
+func (f *FS) saveLocked(path string, st *fileState) error {
+	r, err := f.inner.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	orig := make([]byte, st.durable)
+	if _, err := io.ReadFull(r, orig); err != nil {
+		return err
+	}
+	st.orig = orig
+	return nil
 }
 
 // --- wal.FS ---
@@ -267,7 +317,7 @@ func (f *FS) OpenFile(path string, flag int, perm fs.FileMode) (wal.File, error)
 	if err != nil {
 		return nil, err
 	}
-	fl := &file{fs: f, inner: inner, path: path}
+	fl := &file{fs: f, inner: inner, path: path, appending: flag&os.O_APPEND != 0}
 	if segFile(path) {
 		size, serr := inner.Size()
 		if serr != nil {
@@ -365,6 +415,9 @@ func (f *FS) Truncate(path string, size int64) error {
 		if st.durable > size {
 			st.durable = size
 		}
+		if int64(len(st.orig)) > size {
+			st.orig = st.orig[:size]
+		}
 	}
 	f.mu.Unlock()
 	return nil
@@ -374,10 +427,12 @@ func (f *FS) SyncDir(dir string) error { return f.inner.SyncDir(dir) }
 
 // file wraps one open file with the per-op fault rolls.
 type file struct {
-	fs       *FS
-	inner    wal.File
-	path     string
-	readOnly bool
+	fs        *FS
+	inner     wal.File
+	path      string
+	readOnly  bool
+	appending bool  // O_APPEND: every write lands at the end
+	off       int64 // where the next write lands otherwise (the log seeks only to read)
 }
 
 func (fl *file) Name() string         { return fl.inner.Name() }
@@ -413,50 +468,61 @@ func (fl *file) Read(p []byte) (int, error) {
 // shape a full disk or an I/O error leaves behind a buffered flush.
 func (fl *file) Write(p []byte) (int, error) {
 	f := fl.fs
-	tracked := segFile(fl.path)
-	var (
-		i    uint64
-		fail bool
-	)
-	if tracked {
-		f.mu.Lock()
-		i = f.writes
-		f.writes++
-		fail = f.roll(saltWrite, i, f.opts.TornEvery, f.opts.FailWriteAt)
-		if fail {
-			f.note("torn-write")
-		}
-		f.mu.Unlock()
+	if !segFile(fl.path) {
+		return fl.inner.Write(p)
 	}
+	f.mu.Lock()
+	i := f.writes
+	f.writes++
+	fail := f.roll(saltWrite, i, f.opts.TornEvery, f.opts.FailWriteAt)
+	if fail {
+		f.note("torn-write")
+	}
+	f.mu.Unlock()
 	if !fail {
-		n, err := fl.inner.Write(p)
-		if tracked && n > 0 {
-			f.mu.Lock()
-			if st, ok := f.files[fl.path]; ok {
-				st.size += int64(n)
-			}
-			f.mu.Unlock()
-		}
-		return n, err
+		return fl.write(p)
 	}
 	h := f.hash(saltWrite, i)
 	keep := 0
-	if len(p) > 1 {
+	if i == uint64(f.opts.FailWriteAt) && f.opts.FailWriteKeep >= 0 {
+		keep = min(f.opts.FailWriteKeep, len(p))
+	} else if len(p) > 1 {
 		keep = int(h % uint64(len(p))) // strict prefix: at least one byte lost
 	}
-	n, _ := fl.inner.Write(p[:keep])
-	if n > 0 {
-		f.mu.Lock()
-		if st, ok := f.files[fl.path]; ok {
-			st.size += int64(n)
-		}
-		f.mu.Unlock()
-	}
+	n, _ := fl.write(p[:keep])
 	errno := syscall.ENOSPC
 	if h&(1<<40) != 0 {
 		errno = syscall.EIO
 	}
 	return n, &fs.PathError{Op: "write", Path: fl.path, Err: errno}
+}
+
+// write lands p on a tracked file at the handle's offset, saving the
+// durable image first if p overwrites any of it.
+func (fl *file) write(p []byte) (int, error) {
+	f := fl.fs
+	f.mu.Lock()
+	st := f.files[fl.path]
+	if st != nil {
+		if fl.appending {
+			fl.off = st.size
+		}
+		if st.orig == nil && fl.off < st.durable && len(p) > 0 {
+			if err := f.saveLocked(fl.path, st); err != nil {
+				f.mu.Unlock()
+				return 0, err
+			}
+		}
+	}
+	f.mu.Unlock()
+	n, err := fl.inner.Write(p)
+	f.mu.Lock()
+	fl.off += int64(n)
+	if st != nil && fl.off > st.size {
+		st.size = fl.off
+	}
+	f.mu.Unlock()
+	return n, err
 }
 
 // Sync injects the two fsync pathologies on tracked segment files. An
@@ -496,7 +562,7 @@ func (fl *file) Sync() error {
 	}
 	f.mu.Lock()
 	if st := f.files[fl.path]; st != nil && !st.lying {
-		st.durable = st.size
+		st.durable, st.orig = st.size, nil
 	}
 	f.mu.Unlock()
 	return nil

@@ -99,8 +99,9 @@ type WALMetrics struct {
 	Segments int
 	Bytes    int64
 	// Appends and Fsyncs count entries written and fsync calls; Rotations
-	// counts segment rolls.
-	Appends, Fsyncs, Rotations uint64
+	// counts segment rolls, Recycled the segment files reused from the pool
+	// snapshots fill instead of created.
+	Appends, Fsyncs, Rotations, Recycled uint64
 	// Snapshots counts snapshots written this incarnation, SnapshotSeq the
 	// seq the latest one covers, SnapshotAge how long ago it was taken
 	// (0 when none has been taken yet this incarnation).
