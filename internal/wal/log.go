@@ -70,9 +70,9 @@
 // would read as an interior tear.
 //
 // Renaming a pooled file into place, like creating a file, relies on the
-// segment's first fsync committing its directory entry (ext4 and XFS
-// journal it with the file's metadata); walfault does not model a lost
-// directory entry. A cleanly closed directory reads the same under a build
+// segment's first fsync committing its directory entry, as a journaling
+// filesystem such as ext4 does; walfault does not model a lost directory
+// entry. A cleanly closed directory reads the same under a build
 // that predates the pool: it ignores free-*.seg, and every wal-*.seg ends
 // at its live bytes. After a crash it must not be opened by such a build,
 // whose recovery would take a recycled file's stale records for entries.
