@@ -456,32 +456,14 @@ func TestWALRecyclesSegmentFiles(t *testing.T) {
 	}
 	settle(t, cluster, last)
 	for _, n := range cluster.Nodes() {
-		w := n.Metrics().WAL
+		m, live, free, liveBytes := walDirAtRest(t, n, filepath.Join(base, fmt.Sprintf("node-%d", n.Self())))
+		w := m.WAL
 		if w.Snapshots < 2 || w.Recycled == 0 {
 			t.Fatalf("node %d: %d snapshots, %d segment files recycled; want two cycles and a reuse", n.Self(), w.Snapshots, w.Recycled)
 		}
 		var doc bytes.Buffer
-		if err := obs.WriteNodeMetrics(&doc, uint32(n.Self()), n.Metrics()); err != nil {
+		if err := obs.WriteNodeMetrics(&doc, uint32(n.Self()), m); err != nil {
 			t.Fatal(err)
-		}
-		des, err := os.ReadDir(filepath.Join(base, fmt.Sprintf("node-%d", n.Self())))
-		if err != nil {
-			t.Fatal(err)
-		}
-		live, free := 0, 0
-		var liveBytes int64
-		for _, de := range des {
-			switch {
-			case strings.HasPrefix(de.Name(), "wal-"):
-				fi, err := de.Info()
-				if err != nil {
-					t.Fatal(err)
-				}
-				live++
-				liveBytes += fi.Size()
-			case strings.HasPrefix(de.Name(), "free-"):
-				free++
-			}
 		}
 		want := fmt.Sprintf("fsr_wal_segments{node=\"%d\"} %d\n", n.Self(), live)
 		if !strings.Contains(doc.String(), want) {
@@ -492,6 +474,40 @@ func TestWALRecyclesSegmentFiles(t *testing.T) {
 		if w.Bytes <= 0 || w.Bytes > liveBytes || !strings.Contains(doc.String(),
 			fmt.Sprintf("fsr_wal_bytes{node=\"%d\"} %d\n", n.Self(), w.Bytes)) {
 			t.Errorf("node %d: fsr_wal_bytes %d, live segment files hold %d bytes", n.Self(), w.Bytes, liveBytes)
+		}
+	}
+}
+
+// walDirAtRest samples n's metrics and counts the live segment files (and
+// their bytes) and the pooled ones in its WAL directory dir. The pump
+// writes a snapshot after the batch it covers is applied, so one may still
+// be retiring segments: the directory is read again until no WAL counter
+// moved across the read.
+func walDirAtRest(t *testing.T, n *fsr.Node, dir string) (m fsr.Metrics, live, free int, liveBytes int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		m = n.Metrics()
+		live, free, liveBytes = 0, 0, 0
+		des, err := os.ReadDir(dir)
+		for i := 0; err == nil && i < len(des); i++ {
+			switch name := des[i].Name(); {
+			case strings.HasPrefix(name, "wal-"):
+				var fi os.FileInfo
+				if fi, err = des[i].Info(); err == nil {
+					live++
+					liveBytes += fi.Size()
+				}
+			case strings.HasPrefix(name, "free-"):
+				free++
+			}
+		}
+		w, after := m.WAL, n.Metrics().WAL
+		if err == nil && w.Snapshots == after.Snapshots && w.Segments == after.Segments &&
+			w.Bytes == after.Bytes && w.Recycled == after.Recycled {
+			return m, live, free, liveBytes
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d: WAL directory never at rest: %v", n.Self(), err)
 		}
 	}
 }

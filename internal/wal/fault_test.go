@@ -478,7 +478,7 @@ func TestSegmentChainAcceptsLegacyAndSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const chainRecord = 8 + 24 // record header + an entry with no payload
+		const chainRecord = 8 + 24 + 8 // record header, fixed body, the base
 		for _, de := range names {
 			if !strings.HasSuffix(de.Name(), ".seg") {
 				continue

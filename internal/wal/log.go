@@ -35,7 +35,8 @@
 // while the honestly synced segment after it survives. Every segment
 // therefore opens with a chain record — an ordinary record with seq 0, which
 // no entry uses, whose logicalID is the highest sequence number recorded
-// (entry or snapshot) when the segment was created. Open walks the chain:
+// (entry or snapshot) when the segment was created and whose 8-byte payload
+// is the segment's base. Open walks the chain:
 // a segment whose chain record names a seq above everything recovered
 // before it follows a hole, and Open refuses the directory with ErrCorrupt —
 // the verdict an interior torn record gets — so the owner rejoins through
@@ -61,10 +62,21 @@
 // a file is pooled under a bound at or above every seq it holds, and only
 // reused for a base above that bound; so every stale record's seq is below
 // the base. Recovery therefore ends a segment's live bytes at an entry below
-// the base, or at a chain record that is not the segment's first record
-// (seq 0 marks a record that is not an entry; a later record kind must
-// carry a seq to be held to the base), and truncates what follows, as it
-// does a torn tail. Replay and ReadFrom read only a segment's live bytes.
+// the base, at a chain record that is not the segment's first record (seq 0
+// marks a record that is not an entry; a later record kind must carry a seq
+// to be held to the base), or at a first chain record that names another
+// base (an earlier life's head, when this life reached the disk with
+// nothing), and truncates what follows, as it does a torn tail. Open keeps
+// the first half of the rule true: a newest segment that recovered no entry
+// may be based above what the crash left of the log, so Open removes it and
+// starts the active segment at the recovered tail. Replay and ReadFrom read
+// only a segment's live bytes.
+//
+// Only a based segment, one whose chain record names its base, is held to
+// the rule and pooled. A build that predates the pool wrote chain records
+// that name no base, and after a crash that emptied its newest segment it
+// appended entries below that segment's base; such a segment is read as
+// that build read it, and truncation removes its file.
 // Sealing a recycled segment, at rotation or Close, cuts it to its live
 // bytes before its fsync, so no sealed segment carries stale bytes that
 // would read as an interior tear.

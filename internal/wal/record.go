@@ -29,12 +29,22 @@ var errTorn = errors.New("wal: torn tail")
 var errStale = errors.New("wal: stale record")
 
 // writeChainLocked opens the (empty) active segment with its chain record:
-// seq 0, logicalID = the highest seq recorded before it (see the package
-// comment). It is batched, and reaches the disk with the segment's first
-// entries — a crash that loses it loses them too, leaving an empty segment
-// that chains to nothing and hides nothing.
+// seq 0, logicalID = the highest seq recorded before it, payload = the
+// segment's base (see the package comment). It is batched, and reaches the
+// disk with the segment's first entries; a crash that loses it loses them
+// too, and Open starts the segment over (openActive).
 func (l *Log) writeChainLocked() error {
-	return l.writeRecordLocked(Entry{LogicalID: l.lastSeq})
+	base := l.segs[len(l.segs)-1].base
+	return l.writeRecordLocked(Entry{LogicalID: l.lastSeq, Payload: binary.LittleEndian.AppendUint64(nil, base)})
+}
+
+// chainBase returns the base a chain record names. A chain record an older
+// build wrote names none.
+func chainBase(e Entry) (uint64, bool) {
+	if len(e.Payload) != 8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(e.Payload), true
 }
 
 // appendRecord frames one entry onto buf.

@@ -46,8 +46,8 @@ func (n nosync) CreateTemp(dir, pattern string) (wal.File, error) {
 }
 
 const (
-	oldEntries  = 12 // the older life: seqs 1..12, all covered by the snapshot that frees its file
-	chainBytes  = 8 + 24
+	oldEntries  = 12          // the older life: seqs 1..12, all covered by the snapshot that frees its file
+	chainBytes  = 8 + 24 + 8  // header, fixed body, the base
 	newBytes    = 8 + 24 + 16 // one new-life record: header, fixed body, 16-byte payload
 	newPerBatch = 2
 	newBatches  = 4
@@ -259,5 +259,110 @@ func TestRecycledSegmentReadsLiveBytes(t *testing.T) {
 		if strings.HasPrefix(de.Name(), "free-") {
 			t.Fatalf("pool still holds %s after its only file was reused", de.Name())
 		}
+	}
+}
+
+// TestEmptiedSegmentRestartsAtRecoveredTail: an fsync lies on a segment,
+// a rotation seals it, and the power is cut before the new segment's first
+// fsync. The sealed segment comes back short of the new segment's base, and
+// the new one with no entry: empty if it was created, holding only its
+// earlier life if it was reused. The appends that fill the gap must land at
+// or above their segment's base, or the next Open would take them for an
+// earlier life's records, so every one must come back, and none as
+// ErrCorrupt once the segment they landed in is sealed behind another.
+func TestEmptiedSegmentRestartsAtRecoveredTail(t *testing.T) {
+	const segBytes = chainBytes + 3*newBytes // three entries, then a rotation
+	for _, tc := range []struct {
+		name     string
+		snapshot bool // a snapshot first pools two files, so the rotation reuses one
+		lieAt    int  // the fsync of the segment's second batch
+	}{
+		{"created", false, 1},
+		{"reused", true, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fopts := walfault.NoOneShots()
+			fopts.LieFsyncAt = tc.lieAt // sticky: the rotation's own fsync of that segment lies too
+			ffs := walfault.New(nosync{wal.OS}, fopts)
+			l, err := wal.Open(dir, wal.Options{FS: ffs, SegmentBytes: segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, after := uint64(0), uint64(0)
+			appendSync := func(sync bool) {
+				t.Helper()
+				seq++
+				if err := l.Append(newEntry(seq)); err != nil {
+					t.Fatal(err)
+				}
+				if !sync {
+					return
+				}
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.snapshot {
+				for range 5 { // fsync 0 seals wal-1 at seq 4
+					appendSync(false)
+				}
+				appendSync(true)                                              // fsync 1
+				if err := l.WriteSnapshot(6, []byte("state@6")); err != nil { // fsync 2
+					t.Fatal(err)
+				}
+				after = 6
+			}
+			appendSync(true) // honest
+			durable := seq
+			for rotations := l.Stats().Rotations; ; {
+				appendSync(false)
+				if l.Stats().Rotations != rotations {
+					break
+				}
+				if err := l.Sync(); err != nil { // lies, and so does every later fsync of this segment
+					t.Fatal(err)
+				}
+			}
+			// The rotation buffered the new segment's chain record and first
+			// entry; the power is cut before they are written.
+			if err := ffs.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if got := ffs.Injected()["lying-fsync"]; got != 1 {
+				t.Fatalf("%d lying fsyncs injected, want 1", got)
+			}
+			if tc.snapshot && l.Stats().Recycled != 2 {
+				t.Fatalf("Recycled = %d, want 2: the rotation did not reuse a pooled file", l.Stats().Recycled)
+			}
+			opts := wal.Options{FS: nosync{wal.OS}, SegmentBytes: segBytes}
+			l, err = wal.Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen after the power cut: %v", err)
+			}
+			if got := l.LastSeq(); got != durable || got+1 >= seq {
+				t.Fatalf("recovered to seq %d, want %d, below the lost segment's base %d less one", got, durable, seq)
+			}
+			end := seq + 2*3 // past the lost base, through two more rotations
+			for seq = durable; seq < end; {
+				appendSync(false)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l, err = wal.Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen after filling the gap: %v", err)
+			}
+			defer l.Close()
+			var want []uint64
+			for s := after + 1; s <= end; s++ {
+				want = append(want, s)
+			}
+			wantSeqs(t, replaySeqs(t, l, after), want...)
+		})
 	}
 }

@@ -17,6 +17,10 @@ type segment struct {
 	first uint64 // seq of the first entry (0 while empty)
 	last  uint64 // seq of the last entry (0 while empty)
 	size  int64  // live bytes, for the active segment including what is buffered
+	// based marks a segment whose chain record names its base: the validity
+	// rule holds its entries to that base, and truncation may pool its file.
+	// A segment an older build wrote is not based.
+	based bool
 	// recycled marks a file taken from the pool this incarnation and not
 	// yet sealed: bytes of an earlier life may follow its live ones.
 	recycled bool
@@ -61,9 +65,10 @@ func scanDir(fsys FS, dir string) (segs []segment, pool []pooled, snapSeqs []uin
 // recoverSegment validates one segment — its records, and its place in the
 // segment chain against what the segments before it recovered — and records
 // its entry bounds. The live bytes end at a torn record, or at a record an
-// earlier life of a recycled file left behind: a chain record that is not
-// the first record, or an entry below the segment's base. Either ending is
-// truncated away, except that a torn interior segment is corrupt.
+// earlier life of a recycled file left behind: a head chain record naming
+// another base, a chain record that is not the first record, or, in a based
+// segment, an entry below the base. Either ending is truncated away, except
+// that a torn interior segment is corrupt.
 func (l *Log) recoverSegment(s *segment, isLast bool) error {
 	f, err := l.fsys.Open(s.path)
 	if err != nil {
@@ -74,9 +79,15 @@ func (l *Log) recoverSegment(s *segment, isLast bool) error {
 	valid, err := scanRecords(f, 0, -1, func(e Entry) error {
 		records++
 		switch {
-		case e.Seq == 0 && records > 1, e.Seq != 0 && e.Seq < s.base:
+		case e.Seq == 0 && records > 1, e.Seq != 0 && s.based && e.Seq < s.base:
 			return errStale
 		case e.Seq == 0:
+			if base, ok := chainBase(e); ok {
+				if base != s.base {
+					return errStale
+				}
+				s.based = true
+			}
 			if prev := e.LogicalID; prev > l.lastSeq {
 				return fmt.Errorf("%w: segment %s follows seq %d but the log before it ends at %d",
 					ErrCorrupt, s.path, prev, l.lastSeq)
@@ -107,22 +118,29 @@ func (l *Log) recoverSegment(s *segment, isLast bool) error {
 }
 
 // openActive opens the newest segment for appending, creating the first
-// one if the directory is fresh (or fully truncated).
+// one if the directory is fresh (or fully truncated). A newest segment that
+// recovered no entry is started over at the recovered tail: a crash that
+// lost its first batch may also have lost entries before its base, which
+// the next appends must not land below, and a recycled file may keep only
+// an earlier life's chain record, which must not stand in for this one's.
 func (l *Log) openActive() error {
+	if n := len(l.segs); n > 0 && l.segs[n-1].first == 0 {
+		s := l.segs[n-1]
+		if err := l.fsys.Remove(s.path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.segs = l.segs[:n-1]
+		l.segments.Store(int64(len(l.segs)))
+		l.bytes.Add(-s.size)
+	}
 	if len(l.segs) == 0 {
 		return l.createSegment(l.lastSeq + 1)
 	}
-	s := &l.segs[len(l.segs)-1]
-	f, err := l.fsys.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := l.fsys.OpenFile(l.segs[len(l.segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	if s.size == 0 {
-		// Emptied by a crash or a repair, chain record and all: chain it to
-		// what was recovered.
-		return l.writeChainLocked()
-	}
 	return nil
 }
 
@@ -131,7 +149,7 @@ func (l *Log) openActive() error {
 // all lie below seq, renamed into place and overwritten from offset 0, or
 // else a new file. Callers hold the lock (or run before the log is shared).
 func (l *Log) createSegment(seq uint64) error {
-	s := segment{path: filepath.Join(l.dir, fmt.Sprintf("wal-%016x.seg", seq)), base: seq}
+	s := segment{path: filepath.Join(l.dir, fmt.Sprintf("wal-%016x.seg", seq)), base: seq, based: true}
 	f, err := l.recycleLocked(s.path, seq)
 	s.recycled = f != nil
 	if f == nil && err == nil {
@@ -206,9 +224,10 @@ func (l *Log) rotate(seq uint64) error {
 }
 
 // retireFirstLocked takes the oldest segment, which a snapshot has made
-// redundant, out of the log. Its file joins the pool, named for the highest
-// seq a record in it can carry: a live entry at most last, a record of an
-// earlier life below base.
+// redundant, out of the log. A based segment's file joins the pool, named
+// for the highest seq a record in it can carry: a live entry at most last, a
+// record of an earlier life below base. Any other file is removed: no
+// validity rule would tell its records from a later life's.
 func (l *Log) retireFirstLocked() error {
 	s := l.segs[0]
 	bound := s.last
@@ -217,7 +236,7 @@ func (l *Log) retireFirstLocked() error {
 	}
 	free := filepath.Join(l.dir, fmt.Sprintf("free-%016x.seg", bound))
 	var err error
-	if slices.ContainsFunc(l.pool, func(p pooled) bool { return p.path == free }) {
+	if !s.based || slices.ContainsFunc(l.pool, func(p pooled) bool { return p.path == free }) {
 		err = l.fsys.Remove(s.path)
 	} else if err = l.fsys.Rename(s.path, free); err == nil {
 		l.pool = append(l.pool, pooled{path: free, bound: bound})
