@@ -254,13 +254,13 @@ func (cu *catchup) serve(from ProcID, req *wire.CatchupReq) error {
 			return err // local disk corruption is fatal (fail-stop)
 		}
 		resp.More = more
-		resp.Entries = make([]wire.CatchupEntry, len(entries))
+		resp.Entries = make([]wire.ClientEventEntry, len(entries))
 		for i, e := range entries {
-			resp.Entries[i] = wire.CatchupEntry{
-				Seq:       e.Seq,
-				Origin:    ProcID(e.Origin),
-				LogicalID: e.LogicalID,
-				Payload:   e.Payload,
+			resp.Entries[i] = wire.ClientEventEntry{
+				Seq:     e.Seq,
+				Origin:  ProcID(e.Origin),
+				Logical: e.LogicalID,
+				Payload: e.Payload,
 			}
 		}
 	}
@@ -318,7 +318,7 @@ func (cu *catchup) receive(from ProcID, resp *wire.CatchupResp, now time.Time) {
 		items = append(items, catchItem{msg: Message{
 			Seq:       e.Seq,
 			Origin:    e.Origin,
-			LogicalID: e.LogicalID,
+			LogicalID: e.Logical,
 			Payload:   e.Payload,
 		}})
 		c.after = max(c.after, e.Seq)

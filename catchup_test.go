@@ -105,10 +105,10 @@ func (r *catchupRig) drain() {
 	r.cu.pump.mu.Unlock()
 }
 
-func entries(seqs ...uint64) []wire.CatchupEntry {
-	out := make([]wire.CatchupEntry, len(seqs))
+func entries(seqs ...uint64) []wire.ClientEventEntry {
+	out := make([]wire.ClientEventEntry, len(seqs))
 	for i, s := range seqs {
-		out[i] = wire.CatchupEntry{Seq: s, Origin: 1, LogicalID: s, Payload: []byte{byte(s)}}
+		out[i] = wire.ClientEventEntry{Seq: s, Origin: 1, Logical: s, Payload: []byte{byte(s)}}
 	}
 	return out
 }

@@ -389,7 +389,7 @@ func (e *Edge) replicate(m fsr.Message) error {
 		if err := e.clog.InstallSnapshot(m.Seq, m.Payload); err != nil {
 			return err
 		}
-		e.clog.Commit(nil, m.Seq)
+		e.clog.Commit(nil)
 		// State transfer: the prefix has no entry stream, so locally
 		// attached subscribers must page across the jump.
 		e.srv.DetachAll()
@@ -404,7 +404,7 @@ func (e *Edge) replicate(m fsr.Message) error {
 	if err := e.clog.Append(e.scratch[0]); err != nil {
 		return err
 	}
-	e.clog.Commit(e.scratch[:], m.Seq)
+	e.clog.Commit(e.scratch[:])
 	e.srv.PublishTail(e.scratch[:])
 	return nil
 }

@@ -169,6 +169,14 @@ func TestEdgeServesSubscribers(t *testing.T) {
 		}
 		done <- fmt.Errorf("live tail ended early at %d", n)
 	}()
+	// Publish once the subscription has attached to the shared tail:
+	// published earlier, the ten can reach it as private pages and leave
+	// the tail nothing to carry.
+	for deadline := time.Now().Add(15 * time.Second); e.Metrics().TailAttached < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the live subscription never attached to the shared tail: %+v", e.Metrics())
+		}
+	}
 	for i := 0; i < 10; i++ {
 		if _, err := pub.Publish(ctx, []byte("live")); err != nil {
 			t.Fatal(err)

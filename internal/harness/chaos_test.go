@@ -227,11 +227,14 @@ var pinnedSeeds = []struct {
 	// Row C: a member left in an older two-member view, holding its lowest
 	// ID, minted a view of its own under the group's epoch ("group never
 	// quiesced" with two memberships at one epoch) until every exactly-half
-	// proposal probed and waited. Row C's third seed, 1792161319937308799,
-	// waits for ledger row K's fix: it still fails a few runs in a hundred
-	// on that bug.
+	// proposal probed and waited. Row C's third seed also met row K: a
+	// filtered duplicate publish moved the applied frontier of the members
+	// that never restarted past what a restarted one rebuilds from its
+	// log ("group never quiesced" with one member's applied ahead), until
+	// the frontier was held by the log alone.
 	{"rolling-upgrade", 1790461820054646509, false, "row C"},
 	{"rolling-upgrade", 2000669, false, "row C"},
+	{"rolling-upgrade", 1792161319937308799, false, "row C, row K"},
 }
 
 // TestChaosPinned replays the pinned table. Each row first checks that its

@@ -34,10 +34,13 @@ import (
 // because what a crash loses it refetches upstream. A failed write leaves
 // the frontier where it was, and the host fail-stops.
 //
-// Sequence numbers are ascending but not dense — members filter duplicate
-// client publishes out of the order while still consuming their slot — so
-// both backings search by Seq. Payloads are never mutated after Commit, so
-// pages hand out references.
+// The frontier is the newest thing the Log holds: its last entry, or the
+// snapshot installed past it. Nothing else moves it, so a host that
+// restarts rebuilds exactly the frontier it had. Sequence numbers are
+// ascending but not dense — members filter duplicate client publishes out
+// of the order while still consuming their slot, and such a slot moves no
+// frontier — so both backings search by Seq. Payloads are never mutated
+// after Commit, so pages hand out references.
 //
 // All methods are safe from any goroutine; Append, Sync, Commit,
 // InstallSnapshot and RaiseHorizon are called by the host's single writer.
@@ -45,6 +48,8 @@ type Log struct {
 	wal     *wal.Log
 	appSnap func(stored []byte) []byte // application part of a snapshot as the host stores it
 	ringCap int
+
+	installed uint64 // snapshot installed since the last Commit (writer only)
 
 	mu      sync.Mutex
 	applied uint64
@@ -114,11 +119,16 @@ func (l *Log) Sync() error {
 }
 
 // Commit makes a batch servable: entries (ascending; ones at or below what
-// is already held are ignored) are retained and the frontier moves to
-// frontier — at least the last entry's Seq, higher when the batch ended in
-// filtered slots or an installed snapshot. On the WAL backing the entries
-// are the ones Append wrote, so only the frontier moves.
-func (l *Log) Commit(entries []wire.ClientEventEntry, frontier uint64) {
+// is already held are ignored) are retained and the frontier moves to the
+// newest thing the batch left in the Log — its last entry, or the snapshot
+// InstallSnapshot installed. On the WAL backing the entries are the ones
+// Append wrote, so only the frontier moves.
+func (l *Log) Commit(entries []wire.ClientEventEntry) {
+	frontier := l.installed
+	l.installed = 0
+	if n := len(entries); n > 0 {
+		frontier = max(frontier, entries[n-1].Seq)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.wal == nil {
@@ -152,12 +162,16 @@ func (l *Log) InstallSnapshot(seq uint64, stored []byte) error {
 		return nil // only the caller moves the frontier, so this cannot race
 	}
 	if l.wal != nil {
-		return l.wal.WriteSnapshot(seq, stored)
+		if err := l.wal.WriteSnapshot(seq, stored); err != nil {
+			return err
+		}
+	} else {
+		l.mu.Lock()
+		l.snap, l.snapSeq, l.base = l.appSnap(stored), seq, seq
+		l.ring.Clear()
+		l.mu.Unlock()
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.snap, l.snapSeq, l.base = l.appSnap(stored), seq, seq
-	l.ring.Clear()
+	l.installed = seq
 	return nil
 }
 

@@ -18,7 +18,7 @@ func entryOf(seq uint64) wire.ClientEventEntry {
 	return wire.ClientEventEntry{Seq: seq, Origin: 7, Logical: seq, Payload: payloadOf(seq)}
 }
 
-func (h hostLog) commit(t *testing.T, frontier uint64, seqs ...uint64) {
+func (h hostLog) commit(t *testing.T, seqs ...uint64) {
 	t.Helper()
 	entries := make([]wire.ClientEventEntry, len(seqs))
 	for i, seq := range seqs {
@@ -32,17 +32,17 @@ func (h hostLog) commit(t *testing.T, frontier uint64, seqs ...uint64) {
 	if err := h.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	h.Commit(entries, frontier)
+	h.Commit(entries)
 }
 
-// snapshot is a state transfer as a host applies it: install, then commit
-// the frontier to it.
+// snapshot is a state transfer as a host applies it: install, then commit,
+// which moves the frontier to it.
 func (h hostLog) snapshot(t *testing.T, seq uint64, data []byte) {
 	t.Helper()
 	if err := h.InstallSnapshot(seq, data); err != nil {
 		t.Fatal(err)
 	}
-	h.Commit(nil, seq)
+	h.Commit(nil)
 }
 
 // payloadOf is ten bytes naming the entry.
@@ -138,7 +138,7 @@ func TestLog(t *testing.T) {
 				if l.Applied() != 0 || closed(moved) {
 					t.Fatalf("before Commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
-				l.Commit([]wire.ClientEventEntry{entryOf(1)}, 1)
+				l.Commit([]wire.ClientEventEntry{entryOf(1)})
 				if l.Applied() != 1 || !closed(moved) {
 					t.Fatalf("after Commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
@@ -150,7 +150,7 @@ func TestLog(t *testing.T) {
 			// failed write nothing moves the frontier.
 			t.Run("write error leaves the frontier", func(t *testing.T) {
 				l, failDisk := b.open(t)
-				l.commit(t, 3, 1, 2, 3)
+				l.commit(t, 1, 2, 3)
 				if err := l.Writable(); err != nil {
 					t.Fatalf("healthy log not writable: %v", err)
 				}
@@ -177,26 +177,28 @@ func TestLog(t *testing.T) {
 			})
 
 			// Members filter duplicate publishes out of the order while
-			// still consuming their slot, so seqs skip values (bug #12).
+			// still consuming their slot, so seqs skip values (bug #12). A
+			// filtered slot after the last entry moves no frontier: a
+			// restart could not rebuild it.
 			t.Run("sparse seqs", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 10, 2, 5, 6, 9) // 10 was a filtered slot
-				if l.Applied() != 10 {
-					t.Fatalf("applied %d, want 10", l.Applied())
+				l.commit(t, 2, 5, 6, 9) // 10 was a filtered slot
+				if l.Applied() != 9 {
+					t.Fatalf("applied %d, want 9", l.Applied())
 				}
-				p, err := l.ReadCommitted(0, 10, 16, 1<<20)
-				wantPage(t, p, err, 10, 2, 5, 6, 9)
-				p, err = l.ReadCommitted(5, 10, 16, 1<<20)
-				wantPage(t, p, err, 10, 6, 9)
-				p, err = l.ReadCommitted(3, 10, 16, 1<<20) // no entry at 3 or 4
-				wantPage(t, p, err, 10, 5, 6, 9)
-				p, err = l.ReadCommitted(9, 10, 16, 1<<20)
-				wantPage(t, p, err, 10)
+				p, err := l.ReadCommitted(0, 9, 16, 1<<20)
+				wantPage(t, p, err, 9, 2, 5, 6, 9)
+				p, err = l.ReadCommitted(5, 9, 16, 1<<20)
+				wantPage(t, p, err, 9, 6, 9)
+				p, err = l.ReadCommitted(3, 9, 16, 1<<20) // no entry at 3 or 4
+				wantPage(t, p, err, 9, 5, 6, 9)
+				p, err = l.ReadCommitted(9, 9, 16, 1<<20)
+				wantPage(t, p, err, 9)
 			})
 
 			t.Run("page cut by entries", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 9, 2, 5, 6, 9)
+				l.commit(t, 2, 5, 6, 9)
 				p, err := l.ReadCommitted(0, 9, 2, 1<<20)
 				wantPage(t, p, err, 5, 2, 5)
 				p, err = l.ReadCommitted(p.Cursor, 9, 2, 1<<20)
@@ -205,7 +207,7 @@ func TestLog(t *testing.T) {
 
 			t.Run("page cut by bytes", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 9, 2, 5, 6, 9)
+				l.commit(t, 2, 5, 6, 9)
 				// Ten-byte payloads: the page closes once it holds 15 bytes
 				// or more, and always takes at least one entry.
 				p, err := l.ReadCommitted(0, 9, 16, 15)
@@ -219,9 +221,9 @@ func TestLog(t *testing.T) {
 			// cursor never falls behind what was served.
 			t.Run("tail past the sampled frontier", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 3, 1, 2, 3)
+				l.commit(t, 1, 2, 3)
 				sampled := l.Applied()
-				l.commit(t, 4, 4)
+				l.commit(t, 4)
 				p, err := l.ReadCommitted(1, sampled, 16, 1<<20)
 				wantPage(t, p, err, 3, 2, 3)
 				p, err = l.ReadCommitted(p.Cursor, l.Applied(), 16, 1<<20)
@@ -230,7 +232,7 @@ func TestLog(t *testing.T) {
 
 			t.Run("eviction raises the horizon", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 6, 1, 2, 3, 4, 5, 6)
+				l.commit(t, 1, 2, 3, 4, 5, 6)
 				base, held, _ := l.Held()
 				p, err := l.ReadCommitted(0, 6, 16, 1<<20)
 				if durable {
@@ -253,7 +255,7 @@ func TestLog(t *testing.T) {
 
 			t.Run("snapshot floor", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 3, 1, 2, 3)
+				l.commit(t, 1, 2, 3)
 				moved := l.Watch()
 				if err := l.InstallSnapshot(20, []byte("index|state@20")); err != nil {
 					t.Fatal(err)
@@ -261,7 +263,7 @@ func TestLog(t *testing.T) {
 				if l.Applied() != 3 || closed(moved) {
 					t.Fatalf("before Commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
-				l.Commit(nil, 20)
+				l.Commit(nil)
 				if l.Applied() != 20 || !closed(moved) {
 					t.Fatalf("snapshot: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
@@ -272,7 +274,7 @@ func TestLog(t *testing.T) {
 				if err != nil || string(p.Snap) != "state@20" || p.SnapSeq != 20 || p.Cursor != 20 || len(p.Entries) != 0 {
 					t.Fatalf("read below the snapshot = %+v, %v", p, err)
 				}
-				l.commit(t, 22, 21, 22)
+				l.commit(t, 21, 22)
 				p, err = l.ReadCommitted(20, 22, 16, 1<<20)
 				wantPage(t, p, err, 22, 21, 22)
 				l.snapshot(t, 10, []byte("index|stale")) // behind the frontier: ignored
@@ -287,7 +289,7 @@ func TestLog(t *testing.T) {
 			// the WAL backing has no horizon to raise.
 			t.Run("RaiseHorizon", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 3, 1, 2, 3)
+				l.commit(t, 1, 2, 3)
 				l.RaiseHorizon(10)
 				if l.Applied() != 3 {
 					t.Fatalf("RaiseHorizon moved the frontier to %d", l.Applied())
@@ -303,7 +305,7 @@ func TestLog(t *testing.T) {
 				if base, held, _ := l.Held(); base != 10 || held != 0 {
 					t.Fatalf("held base=%d entries=%d, want 10, 0", base, held)
 				}
-				l.commit(t, 11, 7, 11) // 7 is below the horizon: not retained
+				l.commit(t, 7, 11) // 7 is below the horizon: not retained
 				p, err = l.ReadCommitted(10, 11, 16, 1<<20)
 				wantPage(t, p, err, 11, 11)
 			})
@@ -312,16 +314,16 @@ func TestLog(t *testing.T) {
 			// holds.
 			t.Run("stale commit ignored", func(t *testing.T) {
 				l := open(t)
-				l.commit(t, 3, 1, 2, 3)
+				l.commit(t, 1, 2, 3)
 				moved := l.Watch()
-				l.commit(t, 2, 2)
-				l.commit(t, 3, 1, 2, 3)
+				l.commit(t, 2)
+				l.commit(t, 1, 2, 3)
 				if l.Applied() != 3 || closed(moved) {
 					t.Fatalf("stale commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
 				p, err := l.ReadCommitted(0, 3, 16, 1<<20)
 				wantPage(t, p, err, 3, 1, 2, 3)
-				l.commit(t, 4, 4)
+				l.commit(t, 4)
 				if l.Applied() != 4 || !closed(moved) {
 					t.Fatalf("fresh commit: applied %d, watchers woken %v", l.Applied(), closed(moved))
 				}
@@ -357,7 +359,7 @@ func TestLogWALResumesAtLastSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := hostLog{NewWALLog(w, w.LastSeq(), nil)}
-	l.commit(t, 5, 2, 5)
+	l.commit(t, 2, 5)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,6 @@ type clientOut struct {
 	dead     bool
 	tailSent uint64 // highest tail offset ever enqueued on this link
 	edge     bool   // announced RoleEdge in HELLO
-	ver      byte   // wire version the client announced (0 before HELLO)
 
 	attached map[uint64]*sub // subscriptions fed by the tail (guarded by Server.mu)
 }
@@ -378,7 +377,6 @@ func (s *Server) Handle(from ProcID, payload []byte) {
 			return
 		}
 		o.mu.Lock()
-		o.ver = v.Version
 		o.edge = o.edge || v.Role == wire.RoleEdge
 		o.mu.Unlock()
 		o.pushDrop(s.redirect(wire.RedirectWelcome, 0))

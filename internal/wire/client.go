@@ -57,8 +57,9 @@ const (
 // member answers with a ClientRedirect carrying the current view and its
 // applied frontier (RedirectWelcome).
 type ClientHello struct {
-	// MaxEventBytes caps one EVENT frame's payload bytes (0 = server
-	// default); lets constrained clients bound their buffers.
+	// MaxEventBytes is carried for a client that wants to bound one EVENT
+	// frame's payload bytes, but no server reads it: pages are cut at the
+	// server's own caps whatever it says.
 	MaxEventBytes uint32
 	// Role distinguishes ordinary clients from edge replicas (RoleEdge).
 	Role byte
@@ -232,19 +233,9 @@ func EncodeClientSubscribe(s *ClientSubscribe) []byte {
 	return buf
 }
 
-// clientEventEntryFixed is the encoded size of an entry minus its payload.
-const clientEventEntryFixed = 8 + 4 + 8 + 4
-
 // clientEventSize is the exact encoded size of e.
 func clientEventSize(e *ClientEvent) int {
-	n := 2 + 8 + 1 + 4
-	if e.HasSnapshot {
-		n += 8 + 4 + len(e.Snapshot)
-	}
-	for i := range e.Entries {
-		n += clientEventEntryFixed + len(e.Entries[i].Payload)
-	}
-	return n
+	return 2 + 8 + 1 + pageBodySize(e.HasSnapshot, e.Snapshot, e.Entries)
 }
 
 // EncodeClientEvent serializes e, prefixed with KindClient.
@@ -274,21 +265,7 @@ func AppendClientEvent(buf []byte, e *ClientEvent) []byte {
 		flags |= 8
 	}
 	buf = append(buf, flags)
-	if e.HasSnapshot {
-		buf = binary.LittleEndian.AppendUint64(buf, e.SnapSeq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Snapshot)))
-		buf = append(buf, e.Snapshot...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Entries)))
-	for i := range e.Entries {
-		en := &e.Entries[i]
-		buf = binary.LittleEndian.AppendUint64(buf, en.Seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(en.Origin))
-		buf = binary.LittleEndian.AppendUint64(buf, en.Logical)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(en.Payload)))
-		buf = append(buf, en.Payload...)
-	}
-	return buf
+	return appendPageBody(buf, e.HasSnapshot, e.SnapSeq, e.Snapshot, e.Entries)
 }
 
 // EncodeClientRedirect serializes r, prefixed with KindClient.
@@ -353,11 +330,7 @@ func DecodeClient(buf []byte) (any, error) {
 		if p.PubID, err = r.u64(); err != nil {
 			return nil, err
 		}
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if p.Payload, err = r.bytes(int(n)); err != nil {
+		if p.Payload, err = r.blob(); err != nil {
 			return nil, err
 		}
 		return &p, trailing(&r)
@@ -397,48 +370,8 @@ func DecodeClient(buf []byte) (any, error) {
 		e.Tail = flags&2 != 0
 		e.Attach = flags&4 != 0
 		e.Detach = flags&8 != 0
-		if e.HasSnapshot {
-			if e.SnapSeq, err = r.u64(); err != nil {
-				return nil, err
-			}
-			n, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if e.Snapshot, err = r.bytes(int(n)); err != nil {
-				return nil, err
-			}
-		}
-		count, err := r.u32()
-		if err != nil {
+		if err := readPageBody(&r, e.HasSnapshot, &e.SnapSeq, &e.Snapshot, &e.Entries); err != nil {
 			return nil, err
-		}
-		if uint64(count)*clientEventEntryFixed > uint64(r.rem()) {
-			return nil, ErrTruncated // forged count; refuse to allocate
-		}
-		if count > 0 {
-			e.Entries = make([]ClientEventEntry, count)
-		}
-		for i := range e.Entries {
-			en := &e.Entries[i]
-			if en.Seq, err = r.u64(); err != nil {
-				return nil, err
-			}
-			origin, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			en.Origin = ring.ProcID(origin)
-			if en.Logical, err = r.u64(); err != nil {
-				return nil, err
-			}
-			n, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if en.Payload, err = r.bytes(int(n)); err != nil {
-				return nil, err
-			}
 		}
 		return &e, trailing(&r)
 	case clientRedirect:
@@ -509,4 +442,87 @@ func versionTail(r *reader) (byte, error) {
 		return MakeVersion(1, 0), nil
 	}
 	return r.u8()
+}
+
+// The page body is what an EVENT and a catch-up response both carry after
+// their headers: the snapshot block, present when the header's flags say
+// so, then the entry count and the entries. One pair of helpers writes and
+// reads it for both.
+
+// pageEntryFixed is the encoded size of an entry minus its payload; a
+// decoder refuses a count that cannot fit before allocating.
+const pageEntryFixed = 8 + 4 + 8 + 4
+
+// pageBodySize is the exact encoded size of a page body.
+func pageBodySize(hasSnap bool, snap []byte, entries []ClientEventEntry) int {
+	n := 4
+	if hasSnap {
+		n += 8 + 4 + len(snap)
+	}
+	for i := range entries {
+		n += pageEntryFixed + len(entries[i].Payload)
+	}
+	return n
+}
+
+// appendPageBody appends a page body to buf.
+func appendPageBody(buf []byte, hasSnap bool, snapSeq uint64, snap []byte, entries []ClientEventEntry) []byte {
+	if hasSnap {
+		buf = binary.LittleEndian.AppendUint64(buf, snapSeq)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(snap)))
+		buf = append(buf, snap...)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for i := range entries {
+		e := &entries[i]
+		buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Origin))
+		buf = binary.LittleEndian.AppendUint64(buf, e.Logical)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
+		buf = append(buf, e.Payload...)
+	}
+	return buf
+}
+
+// readPageBody reads a page body into the fields given; byte slices alias
+// r's buffer.
+func readPageBody(r *reader, hasSnap bool, snapSeq *uint64, snap *[]byte, entries *[]ClientEventEntry) (err error) {
+	if hasSnap {
+		if *snapSeq, err = r.u64(); err != nil {
+			return err
+		}
+		if *snap, err = r.blob(); err != nil {
+			return err
+		}
+	}
+	count, err := r.u32()
+	if err != nil {
+		return err
+	}
+	if uint64(count)*pageEntryFixed > uint64(r.rem()) {
+		return ErrTruncated // forged count; refuse to allocate
+	}
+	if count == 0 {
+		return nil
+	}
+	es := make([]ClientEventEntry, count)
+	for i := range es {
+		e := &es[i]
+		if e.Seq, err = r.u64(); err != nil {
+			return err
+		}
+		origin, err := r.u32()
+		if err != nil {
+			return err
+		}
+		e.Origin = ring.ProcID(origin)
+		if e.Logical, err = r.u64(); err != nil {
+			return err
+		}
+		if e.Payload, err = r.blob(); err != nil {
+			return err
+		}
+	}
+	*entries = es
+	return nil
 }

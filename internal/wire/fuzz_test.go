@@ -2,15 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"fsr/internal/ring"
 )
 
 // FuzzDecodeFrame throws arbitrary bytes at every decoder the node routes
-// transport payloads to — ring frames and the catch-up request/response
-// codec. Decoding untrusted input must never panic (errors are fine); a
-// crash here would let one corrupt peer take down the whole group.
+// transport payloads to — ring frames, the catch-up request/response codec
+// and the client sub-protocol. Decoding untrusted input must never panic
+// (errors are fine); a crash here would let one corrupt peer take down the
+// whole group. A catch-up or client message that decodes must also survive
+// a re-encode unchanged.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(EncodeFrame(sampleFrame()))
 	f.Add(EncodeFrame(&Frame{ViewID: 1}))
@@ -40,8 +44,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		SnapSeq:     77,
 		Snapshot:    []byte("snapshot-bytes"),
 		More:        true,
-		Entries: []CatchupEntry{
-			{Seq: 78, Origin: 4, LogicalID: 12, Payload: []byte("entry")},
+		Entries: []ClientEventEntry{
+			{Seq: 78, Origin: 4, Logical: 12, Payload: []byte("entry")},
 		},
 	}))
 	// Client sub-protocol corpus: every message type a member or client
@@ -107,11 +111,52 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 		PutFrame(reused)
-		if m, err := DecodeCatchup(b); err == nil && m == nil {
-			t.Fatal("DecodeCatchup: nil message without error")
-		}
-		if m, err := DecodeClient(b); err == nil && m == nil {
-			t.Fatal("DecodeClient: nil message without error")
+		for _, decode := range []func([]byte) (any, error){DecodeCatchup, DecodeClient} {
+			m, err := decode(b)
+			if err != nil {
+				continue
+			}
+			if m == nil {
+				t.Fatal("nil message without error")
+			}
+			// What a decoder accepts, its encoder writes back the same:
+			// re-encoded and decoded again, the message is unchanged.
+			again, err := decode(reencode(m))
+			if err != nil {
+				t.Fatalf("re-encoded %T refused: %v", m, err)
+			}
+			if h, ok := m.(*ClientHello); ok && h.Version == 0 {
+				h.Version = CurrentVersion // encoders stamp a zero version
+			}
+			if rd, ok := m.(*ClientRedirect); ok && rd.Version == 0 {
+				rd.Version = CurrentVersion
+			}
+			if !reflect.DeepEqual(again, m) {
+				t.Fatalf("re-encoded %T decodes differently:\n %+v\nwas\n %+v", m, again, m)
+			}
 		}
 	})
+}
+
+// reencode encodes a message DecodeCatchup or DecodeClient returned.
+func reencode(m any) []byte {
+	switch v := m.(type) {
+	case *CatchupReq:
+		return EncodeCatchupReq(v)
+	case *CatchupResp:
+		return EncodeCatchupResp(v)
+	case *ClientHello:
+		return EncodeClientHello(v)
+	case *ClientPublish:
+		return EncodeClientPublish(v)
+	case *ClientPubAck:
+		return EncodeClientPubAck(v)
+	case *ClientSubscribe:
+		return EncodeClientSubscribe(v)
+	case *ClientEvent:
+		return EncodeClientEvent(v)
+	case *ClientRedirect:
+		return EncodeClientRedirect(v)
+	}
+	panic(fmt.Sprintf("reencode: %T", m))
 }

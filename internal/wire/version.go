@@ -7,9 +7,15 @@
 //
 // Compat policy, stated once and enforced everywhere:
 //
-//   - Same-major versions interoperate. A frame whose major matches ours
-//     must decode (minor bumps only ever append optional trailing fields,
-//     which same-major decoders tolerate).
+//   - Same-major versions interoperate on the layouts both speak. No
+//     decoder tolerates trailing bytes: DecodeFrameInto, DecodeClient,
+//     DecodeCatchup and DecodeAdmin all refuse a message longer than its
+//     layout, and a refused ring frame or catch-up message fail-stops the
+//     receiver. So a minor bump cannot append a field to an existing
+//     message. Adding one takes a new channel kind (skipped, below), a new
+//     client or admin message type (whose refusal the receiver drops), or
+//     a major bump. The only appended field same-major decoders read is
+//     the HELLO/REDIRECT version byte, last below.
 //   - A different major is rejected with ErrVersion. Receivers SKIP such
 //     frames (count them, drop them) rather than failing the process: a
 //     too-new peer must not crash an old member, it must merely not be
@@ -23,9 +29,9 @@ package wire
 
 import "errors"
 
-// Protocol version of this build. The minor is bumped when the envelope
-// gains optional fields (1.1 added the version byte itself and the HELLO
-// negotiation); the major is bumped only for incompatible changes.
+// Protocol version of this build. The minor is bumped for changes
+// same-major peers still understand (1.1 added the version byte itself and
+// the HELLO negotiation); the major is bumped only for incompatible ones.
 const (
 	ProtoMajor = 1
 	ProtoMinor = 1

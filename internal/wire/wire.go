@@ -326,6 +326,15 @@ func (r *reader) u64() (uint64, error) {
 	return v, nil
 }
 
+// blob reads a u32 length and that many bytes.
+func (r *reader) blob() ([]byte, error) {
+	n, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	return r.bytes(int(n))
+}
+
 func (r *reader) bytes(n int) ([]byte, error) {
 	if n < 0 || r.rem() < n {
 		return nil, ErrTruncated
@@ -361,14 +370,6 @@ type CatchupReq struct {
 	UpTo uint64
 }
 
-// CatchupEntry is one recovered message of the total order.
-type CatchupEntry struct {
-	Seq       uint64
-	Origin    ring.ProcID
-	LogicalID uint64
-	Payload   []byte
-}
-
 // CatchupResp carries one page of a catch-up transfer.
 type CatchupResp struct {
 	// Unavailable means the peer keeps no durable log and cannot serve.
@@ -397,12 +398,8 @@ type CatchupResp struct {
 	// by segments of broadcasts that never completed (e.g. the origin
 	// crashed mid-message) — and stops waiting for them.
 	Ceiling uint64
-	Entries []CatchupEntry
+	Entries []ClientEventEntry
 }
-
-// catchupEntryFixed is the encoded size of an entry minus its payload;
-// used to reject forged counts before allocating.
-const catchupEntryFixed = 8 + 4 + 8 + 4
 
 // EncodeCatchupReq serializes q, prefixed with KindCatchup.
 func EncodeCatchupReq(q *CatchupReq) []byte {
@@ -413,16 +410,10 @@ func EncodeCatchupReq(q *CatchupReq) []byte {
 	return buf
 }
 
-// EncodeCatchupResp serializes p, prefixed with KindCatchup.
+// EncodeCatchupResp serializes p, prefixed with KindCatchup. The body
+// after the header is the page body an EVENT carries (appendPageBody).
 func EncodeCatchupResp(p *CatchupResp) []byte {
-	n := 2 + 1 + 8 + 8 + 4
-	if p.HasSnapshot {
-		n += 8 + 4 + len(p.Snapshot)
-	}
-	for i := range p.Entries {
-		n += catchupEntryFixed + len(p.Entries[i].Payload)
-	}
-	buf := make([]byte, 0, n)
+	buf := make([]byte, 0, 2+1+8+8+pageBodySize(p.HasSnapshot, p.Snapshot, p.Entries))
 	buf = append(buf, KindCatchup, catchupResp)
 	var flags byte
 	if p.Unavailable {
@@ -437,21 +428,7 @@ func EncodeCatchupResp(p *CatchupResp) []byte {
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, p.UpTo)
 	buf = binary.LittleEndian.AppendUint64(buf, p.Ceiling)
-	if p.HasSnapshot {
-		buf = binary.LittleEndian.AppendUint64(buf, p.SnapSeq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Snapshot)))
-		buf = append(buf, p.Snapshot...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Entries)))
-	for i := range p.Entries {
-		e := &p.Entries[i]
-		buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Origin))
-		buf = binary.LittleEndian.AppendUint64(buf, e.LogicalID)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
-		buf = append(buf, e.Payload...)
-	}
-	return buf
+	return appendPageBody(buf, p.HasSnapshot, p.SnapSeq, p.Snapshot, p.Entries)
 }
 
 // DecodeCatchup parses a KindCatchup payload into *CatchupReq or
@@ -498,48 +475,8 @@ func DecodeCatchup(buf []byte) (any, error) {
 		if p.Ceiling, err = r.u64(); err != nil {
 			return nil, err
 		}
-		if p.HasSnapshot {
-			if p.SnapSeq, err = r.u64(); err != nil {
-				return nil, err
-			}
-			n, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if p.Snapshot, err = r.bytes(int(n)); err != nil {
-				return nil, err
-			}
-		}
-		count, err := r.u32()
-		if err != nil {
+		if err := readPageBody(&r, p.HasSnapshot, &p.SnapSeq, &p.Snapshot, &p.Entries); err != nil {
 			return nil, err
-		}
-		if uint64(count)*catchupEntryFixed > uint64(r.rem()) {
-			return nil, ErrTruncated // forged count; refuse to allocate
-		}
-		if count > 0 {
-			p.Entries = make([]CatchupEntry, count)
-		}
-		for i := range p.Entries {
-			e := &p.Entries[i]
-			if e.Seq, err = r.u64(); err != nil {
-				return nil, err
-			}
-			origin, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			e.Origin = ring.ProcID(origin)
-			if e.LogicalID, err = r.u64(); err != nil {
-				return nil, err
-			}
-			n, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if e.Payload, err = r.bytes(int(n)); err != nil {
-				return nil, err
-			}
 		}
 		if r.rem() != 0 {
 			return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCatchup, r.rem())

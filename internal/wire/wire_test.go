@@ -231,12 +231,12 @@ func TestCatchupReqRoundTrip(t *testing.T) {
 func TestCatchupRespRoundTrip(t *testing.T) {
 	cases := []*CatchupResp{
 		{Unavailable: true},
-		{More: true, Entries: []CatchupEntry{
-			{Seq: 7, Origin: 2, LogicalID: 99, Payload: []byte("abc")},
-			{Seq: 9, Origin: 3, LogicalID: 100, Payload: nil},
+		{More: true, Entries: []ClientEventEntry{
+			{Seq: 7, Origin: 2, Logical: 99, Payload: []byte("abc")},
+			{Seq: 9, Origin: 3, Logical: 100, Payload: nil},
 		}},
 		{HasSnapshot: true, SnapSeq: 500, Snapshot: []byte("kv-state"),
-			Entries: []CatchupEntry{{Seq: 501, Origin: 1, LogicalID: 4, Payload: []byte("x")}}},
+			Entries: []ClientEventEntry{{Seq: 501, Origin: 1, Logical: 4, Payload: []byte("x")}}},
 		{},
 	}
 	for i, p := range cases {
@@ -255,7 +255,7 @@ func TestCatchupRespRoundTrip(t *testing.T) {
 		}
 		for j := range p.Entries {
 			w, g := p.Entries[j], dp.Entries[j]
-			if g.Seq != w.Seq || g.Origin != w.Origin || g.LogicalID != w.LogicalID ||
+			if g.Seq != w.Seq || g.Origin != w.Origin || g.Logical != w.Logical ||
 				!bytes.Equal(g.Payload, w.Payload) {
 				t.Fatalf("case %d entry %d: %+v != %+v", i, j, g, w)
 			}
@@ -264,8 +264,8 @@ func TestCatchupRespRoundTrip(t *testing.T) {
 }
 
 func TestCatchupDecodeRejectsMalformed(t *testing.T) {
-	good := EncodeCatchupResp(&CatchupResp{Entries: []CatchupEntry{
-		{Seq: 1, Origin: 1, LogicalID: 1, Payload: []byte("p")},
+	good := EncodeCatchupResp(&CatchupResp{Entries: []ClientEventEntry{
+		{Seq: 1, Origin: 1, Logical: 1, Payload: []byte("p")},
 	}})
 	// Every strict prefix must fail cleanly, never panic.
 	for i := 0; i < len(good); i++ {

@@ -310,6 +310,16 @@ func TestReceiptResolvesExactlyOnce(t *testing.T) {
 				case <-time.After(20 * time.Second):
 					t.Fatal("publishers made no progress")
 				}
+				// Halt once the first receipt has committed too: on a
+				// loaded CPU the member can accept 2000 publishes before
+				// the ring commits any of them.
+				mu.Lock()
+				first := receipts[0]
+				mu.Unlock()
+				waitReceipt(t, first, 20*time.Second)
+				if err := first.Err(); err != nil {
+					t.Fatalf("round %d: the first receipt failed before the halt: %v", round, err)
+				}
 				halt(node)
 				wg.Wait() // publishers see ErrStopped once the node halts
 				committed := 0

@@ -279,16 +279,18 @@ func (p *pump) run() error {
 // same applied prefix), append every surviving message to the Log and fold
 // it into the state machine, sync the Log once — a member acknowledges what
 // it commits, so the batch is durable before it is visible — commit the
-// batch (which moves the applied frontier and wakes subscribers), then
-// acknowledge the batch's publishes — a PUBACK to a client, the Receipt of
-// a local one; the only place either kind resolves — fan it out to attached
-// subscribers and take a snapshot if the cadence is due.
+// batch (the Log moves the applied frontier to what the batch left in it
+// and wakes subscribers), then acknowledge the batch's publishes — a PUBACK
+// to a client, the Receipt of a local one; the only place either kind
+// resolves — fan it out to attached subscribers and take a snapshot if the
+// cadence is due.
 //
 // Recovered history and live messages are merged by sequence number (both
 // streams arrive ascending), so the state machine always sees the total
 // order: a view change can leave not-yet-applied live deliveries below the
 // recovered range in flight. Where the streams overlap the first copy is
-// applied and the other is skipped by the cursor. Pump goroutine only.
+// applied and the other is skipped by the cursor, which stays local: a
+// filtered duplicate moves it but not the frontier. Pump goroutine only.
 func (p *pump) applyBatch(recovered []catchItem, live []Message, forceSnap bool) error {
 	cursor := p.clog.Applied() // only this goroutine moves it
 	entries := p.scratch[:0]   // applied messages in final form
@@ -391,7 +393,7 @@ func (p *pump) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 	// all of them. A snapshot transfer has no entry stream for
 	// the range it covers, so it first demotes every attached subscription
 	// to pager catch-up, which serves the snapshot.
-	p.clog.Commit(entries, cursor)
+	p.clog.Commit(entries)
 	p.mu.Lock()
 	p.busy, p.recovering = false, false // applied now covers the batch
 	p.mu.Unlock()
@@ -407,13 +409,16 @@ func (p *pump) applyBatch(recovered []catchItem, live []Message, forceSnap bool)
 	}
 	p.srv.PublishTail(entries)
 	p.scratch = entries
+	// A snapshot is taken at the frontier, not the cursor: slots filtered
+	// at the end of the batch hold nothing a restart could rebuild.
+	frontier := p.clog.Applied()
 	if p.wlog != nil && p.sm != nil &&
-		(p.sinceSnap >= p.snapEvery || (forceSnap && cursor > 0)) {
+		(p.sinceSnap >= p.snapEvery || (forceSnap && frontier > 0)) {
 		data, err := p.sm.Snapshot()
 		if err != nil {
 			return fmt.Errorf("fsr: state machine snapshot: %w", err)
 		}
-		if err := p.wlog.WriteSnapshot(cursor, wrapSnapshot(p.sess.snapshotIndex(), data)); err != nil {
+		if err := p.wlog.WriteSnapshot(frontier, wrapSnapshot(p.sess.snapshotIndex(), data)); err != nil {
 			return err
 		}
 		p.sinceSnap = 0
