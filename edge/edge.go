@@ -74,8 +74,6 @@ type CoreConfig struct {
 	// TailCap bounds the in-memory tail, in entries (default 65536).
 	// Subscribers below the horizon are redirected to the members.
 	TailCap int
-	// QueueCap overrides the per-subscriber transmit queue bound.
-	QueueCap int
 	// Logger receives structured edge events (tail reconnects, snapshot
 	// hand-overs, slow-subscriber detaches). Nil discards them.
 	Logger *slog.Logger
@@ -129,8 +127,7 @@ func newCore(cfg CoreConfig, fs wal.FS) (*Edge, error) {
 		Redirect: func() ([]fsr.ProcID, []string, uint64) {
 			return cfg.Members, cfg.MemberAddrs, clog.Applied()
 		},
-		QueueCap: cfg.QueueCap,
-		Logger:   log,
+		Logger: log,
 	})
 	adm := e.newAdmin()
 	cfg.Transport.SetHandler(func(from transport.ProcID, payload []byte) {
@@ -199,13 +196,10 @@ type Config struct {
 	// publishes dedup under it — edges never publish, but the ID also
 	// names the edge on member metrics). Zero picks a random ID.
 	ID fsr.ProcID
-	// DurableDir, TailCap, QueueCap and Logger are as in CoreConfig.
+	// DurableDir, TailCap and Logger are as in CoreConfig.
 	DurableDir string
 	TailCap    int
-	QueueCap   int
 	Logger     *slog.Logger
-	// DialTimeout bounds one upstream connection attempt (default 3s).
-	DialTimeout time.Duration
 }
 
 // New starts a TCP edge replica: a listener for subscribers plus one
@@ -224,12 +218,7 @@ func New(cfg Config) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	up, err := client.Dial(client.Config{
-		Addrs:       cfg.Members,
-		ID:          cfg.ID,
-		Edge:        true,
-		DialTimeout: cfg.DialTimeout,
-	})
+	up, err := client.Dial(client.Config{Addrs: cfg.Members, ID: cfg.ID, Edge: true})
 	if err != nil {
 		_ = tr.Close()
 		return nil, err
@@ -240,7 +229,6 @@ func New(cfg Config) (*Edge, error) {
 		MemberAddrs: cfg.Members,
 		DurableDir:  cfg.DurableDir,
 		TailCap:     cfg.TailCap,
-		QueueCap:    cfg.QueueCap,
 		Logger:      cfg.Logger,
 	})
 	if err != nil {

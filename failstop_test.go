@@ -131,19 +131,23 @@ func TestNodeSkipsForeignPayloads(t *testing.T) {
 	if err := ep1.Send(0, alien); err != nil {
 		t.Fatal(err)
 	}
-	// ...and a view-change control message of an unknown type.
+	// ...a view-change control message of an unknown type...
 	if err := ep1.Send(0, []byte{wire.KindVSC, 0xEF, 0x01}); err != nil {
+		t.Fatal(err)
+	}
+	// ...and a catch-up message of an unknown type.
+	if err := ep1.Send(0, []byte{wire.KindCatchup, 0xEF, 0x01}); err != nil {
 		t.Fatal(err)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		m := n.Metrics()
-		if m.SkippedVersion == 1 && m.SkippedUnknown == 2 {
+		if m.SkippedVersion == 1 && m.SkippedUnknown == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("skip counters never settled: version=%d unknown=%d (want 1, 2)",
+			t.Fatalf("skip counters never settled: version=%d unknown=%d (want 1, 3)",
 				m.SkippedVersion, m.SkippedUnknown)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -29,11 +29,6 @@ const (
 // ErrBadControl reports an undecodable control payload.
 var ErrBadControl = errors.New("vsc: bad control payload")
 
-// ErrUnknownType reports a structurally sound control payload whose type
-// byte this build does not know — a newer-minor peer's message. Receivers
-// skip these (wire version policy: unknown kinds/types are not fatal).
-var ErrUnknownType = errors.New("vsc: unknown control message type")
-
 // Prepare opens a view change: the coordinator asks every proposed member
 // to freeze and report its recovery state.
 type Prepare struct {
@@ -452,6 +447,6 @@ func Decode(payload []byte) (any, error) {
 		}
 		return &f, nil
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, typ)
+		return nil, fmt.Errorf("%w: control type %d", wire.ErrUnknownType, typ)
 	}
 }

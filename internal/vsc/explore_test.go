@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/maphash"
 	"maps"
+	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +29,9 @@ import (
 //     report it: q missed p's heartbeat at the last clock step and p sends
 //     it none now, because p is down, is a joiner not yet admitted, or has
 //     installed a view that leaves q out;
+//   - OnSuspect(p) at q while p still heartbeats q, under a budget: a
+//     detector that is wrong about a live peer, as an overloaded host or a
+//     cut longer than a detector timeout makes it;
 //   - crash a member: its queues, in and out, are lost;
 //   - restart a down (crashed or evicted) member as a fresh Joiner Manager
 //     with a higher incarnation, which calls RequestJoin and repeats it
@@ -54,11 +59,13 @@ import (
 //     detectors would raise, and ticks for up to settleSteps clock steps.
 //     Every live member must end in the newest view, or have halted.
 //
-// The bounds are the start states, depths and budgets of exploreCases.
-// The exactly-half rule's stated residual is outside them by
-// construction: an even split whose halves both falsely suspect each other
-// needs a live peer in the same view suspected while it still heartbeats,
-// and a cut here heals before a detector times out.
+// The bounds are the start states, depths and budgets of exploreCases;
+// FSR_EXPLORE_DEPTH adds to every depth for a deeper pass (see
+// TestExploreViewChanges). The exactly-half rule's stated residual is
+// outside them: an even split whose halves both falsely suspect each other
+// takes three false suspicions at n = 3 and four at n = 4, more than any
+// case's budget, and cuts that outlast both waits, while a cut here heals
+// before a detector times out.
 
 // exploreCase is one bounded search: a start state and its budgets.
 type exploreCase struct {
@@ -68,8 +75,9 @@ type exploreCase struct {
 	order []ring.ProcID
 	down  []ring.ProcID
 	n     int
-	// depth bounds the moves on one branch; the rest are fault budgets.
-	depth, crashes, restarts, cuts int
+	// depth bounds the moves on one branch; the rest are fault budgets,
+	// falses for suspicions of a peer that still heartbeats.
+	depth, crashes, restarts, cuts, falses int
 }
 
 // settleSteps bounds the fair run that checks a branch for a wedge.
@@ -94,7 +102,7 @@ type exMember struct {
 func (x *exMember) live() bool { return x.m != nil && !x.halted }
 
 type exMove struct {
-	kind byte // 'd' deliver a→b, 's' a suspects b, 'c' crash a, 'r' restart a, 'x' cut a→b, 't' clock
+	kind byte // 'd' deliver a→b, 's' a suspects b, 'f' a falsely suspects b, 'c' crash a, 'r' restart a, 'x' cut a→b, 't' clock
 	a, b int
 }
 
@@ -112,9 +120,9 @@ type exWorld struct {
 	heard []bool
 	clock int
 	// Remaining fault budgets.
-	crashes, restarts, cuts int
-	installs                map[uint64][]ring.ProcID
-	fork                    string
+	crashes, restarts, cuts, falses int
+	installs                        map[uint64][]ring.ProcID
+	fork                            string
 	// dropFence withholds every Fence payload: the explorer's own switch
 	// for the stale-view fence, with nothing in the Manager.
 	dropFence bool
@@ -175,7 +183,7 @@ func newWorld(c exploreCase, dropFence bool) *exWorld {
 	w := &exWorld{
 		n: c.n, mem: make([]exMember, c.n), owned: make([]bool, c.n), links: make([][][]byte, c.n*c.n),
 		cut: make([]bool, c.n*c.n), heard: make([]bool, c.n*c.n),
-		crashes: c.crashes, restarts: c.restarts, cuts: c.cuts,
+		crashes: c.crashes, restarts: c.restarts, cuts: c.cuts, falses: c.falses,
 		installs: map[uint64][]ring.ProcID{}, dropFence: dropFence,
 	}
 	v := core.View{ID: 1, Ring: ring.MustNew(c.order, min(1, len(c.order)-1))}
@@ -252,6 +260,13 @@ func (w *exWorld) suspectable(p, q int) bool {
 		!w.heard[p*w.n+q] && !w.beats(p, q)
 }
 
+// falselySuspectable reports whether q's detector may report p although p
+// still heartbeats it, a false suspicion the budget allows.
+func (w *exWorld) falselySuspectable(p, q int) bool {
+	x := &w.mem[q]
+	return w.falses > 0 && p != q && x.live() && x.m.installed && x.m.alive[ring.ProcID(p)] && w.beats(p, q)
+}
+
 func (w *exWorld) quiet() bool {
 	for _, q := range w.links {
 		if len(q) > 0 {
@@ -272,6 +287,9 @@ func (w *exWorld) moves() []exMove {
 		for p := range w.n {
 			if w.suspectable(p, q) {
 				mv = append(mv, exMove{'s', q, p})
+			}
+			if w.falselySuspectable(p, q) {
+				mv = append(mv, exMove{'f', q, p})
 			}
 		}
 	}
@@ -314,6 +332,9 @@ func (w *exWorld) apply(mv exMove) {
 			w.dropQueues(mv.b)
 		}
 	case 's':
+		w.own(mv.a).OnSuspect(ring.ProcID(mv.b), w.now())
+	case 'f':
+		w.falses--
 		w.own(mv.a).OnSuspect(ring.ProcID(mv.b), w.now())
 	case 'c':
 		w.crashes--
@@ -536,7 +557,6 @@ func (w *exWorld) hash(seed maphash.Seed, buf []byte) ([]byte, uint64) {
 			u(m.incarnations[ring.ProcID(p)])
 		}
 		u(m.hiEpoch)
-		u(uint64(m.hiCoord))
 		flag(m.snapshot != nil)
 		flag(m.changing)
 		rel(m.changeDue)
@@ -570,6 +590,7 @@ func (w *exWorld) hash(seed maphash.Seed, buf []byte) ([]byte, uint64) {
 	u(uint64(w.crashes))
 	u(uint64(w.restarts))
 	u(uint64(w.cuts))
+	u(uint64(w.falses))
 	for _, e := range slices.Sorted(maps.Keys(w.installs)) {
 		u(e)
 		ids(w.installs[e])
@@ -579,7 +600,7 @@ func (w *exWorld) hash(seed maphash.Seed, buf []byte) ([]byte, uint64) {
 
 // managerFields is the number of Manager fields hash was written against.
 // It reads all of them but log and cfg's callbacks, which are wiring.
-const managerFields = 20
+const managerFields = 19
 
 // exStep is one move on the current branch, with the payload a delivery
 // carried.
@@ -595,6 +616,8 @@ func (st exStep) String() string {
 		return fmt.Sprintf("deliver %d→%d %s", mv.a, mv.b, describePayload(st.p))
 	case 's':
 		return fmt.Sprintf("%d suspects %d", mv.a, mv.b)
+	case 'f':
+		return fmt.Sprintf("%d falsely suspects %d", mv.a, mv.b)
 	case 'c':
 		return fmt.Sprintf("crash %d", mv.a)
 	case 'r':
@@ -630,22 +653,26 @@ func describePayload(p []byte) string {
 }
 
 // explorer runs one bounded search and keeps the first counterexample
-// whose message contains want.
+// whose message contains want. A positive budget caps the states it visits.
 type explorer struct {
 	want   string
 	seed   maphash.Seed
 	buf    []byte
 	seen   map[uint64]int
 	states int
+	budget int
 	path   []exStep
 	found  string
 }
 
-func explore(c exploreCase, dropFence bool, want string) *explorer {
-	e := &explorer{want: want, seed: maphash.MakeSeed(), seen: map[uint64]int{}}
+func explore(c exploreCase, dropFence bool, want string, budget int) *explorer {
+	e := &explorer{want: want, seed: maphash.MakeSeed(), seen: map[uint64]int{}, budget: budget}
 	e.dfs(newWorld(c, dropFence), c.depth)
 	return e
 }
+
+// spent reports a search stopped by its state budget.
+func (e *explorer) spent() bool { return e.budget > 0 && e.states >= e.budget }
 
 func (e *explorer) bad(msg string) bool {
 	if msg != "" && strings.Contains(msg, e.want) {
@@ -655,7 +682,7 @@ func (e *explorer) bad(msg string) bool {
 }
 
 func (e *explorer) dfs(w *exWorld, left int) {
-	if e.bad(w.fork) {
+	if e.bad(w.fork) || e.spent() {
 		return
 	}
 	var h uint64
@@ -698,27 +725,56 @@ func (e *explorer) report() string {
 // The first start state of each size is the whole group in one view. The
 // second is ledger row C's shape: a two-member view whose lowest ID is not
 // its coordinator, with the other IDs down and free to restart and join.
-// Under the race detector every depth is cut by exploreRaceCut.
+// The third is the whole group again, with two false suspicions and no
+// crash. Beyond these bounds false suspicions reach two open ledger rows:
+// one false suspicion and a restart reach row L (a restarted member counted
+// toward a quorum it no longer remembers) in the n=3 group bounds, and
+// n=3 false four moves deeper reaches row M (a member answering a PREPARE
+// from a coordinator its own view has excluded). Under the race detector
+// every depth is cut by exploreRaceCut.
 var exploreCases = []exploreCase{
 	{name: "n=3 group", n: 3, order: []ring.ProcID{0, 1, 2}, depth: 16, crashes: 1, restarts: 1, cuts: 2},
 	{name: "n=3 row C", n: 3, order: []ring.ProcID{2, 0}, down: []ring.ProcID{1}, depth: 22, restarts: 2, cuts: 3},
+	{name: "n=3 false", n: 3, order: []ring.ProcID{0, 1, 2}, depth: 18, cuts: 2, falses: 2},
 	{name: "n=4 group", n: 4, order: []ring.ProcID{0, 1, 2, 3}, depth: 10, crashes: 1, restarts: 1, cuts: 1},
 	{name: "n=4 row C", n: 4, order: []ring.ProcID{2, 0}, down: []ring.ProcID{1, 3}, depth: 22, restarts: 1, cuts: 3},
+	{name: "n=4 false", n: 4, order: []ring.ProcID{0, 1, 2, 3}, depth: 12, cuts: 1, falses: 2},
+}
+
+// exploreEnv reads a non-negative integer setting of the deep pass; unset
+// is 0.
+func exploreEnv(t *testing.T, name string) int {
+	s := os.Getenv(name)
+	if s == "" {
+		return 0
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 0 {
+		t.Fatalf("%s=%q: want a non-negative integer", name, s)
+	}
+	return v
 }
 
 // TestExploreViewChanges runs the explorer over every case and fails with
-// the first counterexample's schedule.
+// the first counterexample's schedule. The nightly deep pass sets
+// FSR_EXPLORE_DEPTH, moves added to every case's depth, and
+// FSR_EXPLORE_STATES, the states one case may visit before it stops; unset,
+// both are 0 and the cases run as written.
 func TestExploreViewChanges(t *testing.T) {
 	if got := reflect.TypeFor[Manager]().NumField(); got != managerFields {
 		t.Fatalf("Manager has %d fields, the explorer's hash was written for %d: hash the new one", got, managerFields)
 	}
+	deeper, budget := exploreEnv(t, "FSR_EXPLORE_DEPTH"), exploreEnv(t, "FSR_EXPLORE_STATES")
 	for _, c := range exploreCases {
-		c.depth -= exploreRaceCut
+		c.depth += deeper - exploreRaceCut
 		t.Run(c.name, func(t *testing.T) {
 			start := time.Now()
-			e := explore(c, false, "")
-			t.Logf("%d states, depth %d, budgets crash %d restart %d cut %d, %v",
-				e.states, c.depth, c.crashes, c.restarts, c.cuts, time.Since(start).Round(time.Millisecond))
+			e := explore(c, false, "", budget)
+			t.Logf("%d states, depth %d, budgets crash %d restart %d cut %d false %d, %v",
+				e.states, c.depth, c.crashes, c.restarts, c.cuts, c.falses, time.Since(start).Round(time.Millisecond))
+			if e.spent() {
+				t.Logf("state budget of %d spent before the depth was covered", budget)
+			}
 			if e.found != "" {
 				t.Fatal(e.report())
 			}
@@ -735,9 +791,29 @@ func TestExploreViewChanges(t *testing.T) {
 func TestExploreFindsRowBWithoutFence(t *testing.T) {
 	c := exploreCases[0]
 	c.depth = 14
-	e := explore(c, true, "left behind")
+	e := explore(c, true, "left behind", 0)
 	if e.found == "" {
 		t.Fatalf("no member left behind in %d states with every Fence withheld", e.states)
 	}
 	t.Logf("%d states: %s", e.states, e.report())
+}
+
+// TestExploreDuelingCoordinators replays a schedule the explorer found at
+// n = 4 with one false suspicion, a crash and a restart. Member 1 falsely
+// suspects 0 and coordinates; 0, which still coordinates by its own view,
+// starts a change of its own for 2's restarted incarnation. Each holds
+// answers the other needs, and 1 refuses 0's equal-epoch PREPAREs. If both
+// restarted after the same ChangeTimeout they would collide at each next
+// epoch forever; the earlier coordinator restarts first and wins.
+func TestExploreDuelingCoordinators(t *testing.T) {
+	w := newWorld(exploreCase{n: 4, order: []ring.ProcID{0, 1, 2, 3}, crashes: 1, restarts: 1, cuts: 1, falses: 1}, false)
+	for _, mv := range []exMove{
+		{'f', 1, 0}, {'d', 1, 2}, {'d', 1, 3}, {'d', 2, 1}, {'c', 2, 0},
+		{'r', 2, 0}, {'d', 2, 0}, {'d', 0, 1}, {'d', 2, 1}, {'x', 1, 2},
+	} {
+		w.apply(mv)
+	}
+	if msg := w.settle(); msg != "" {
+		t.Fatal(msg)
+	}
 }

@@ -21,7 +21,14 @@
 // lost STATE) is healed by a timeout that restarts the change with a higher
 // epoch and the shrunken live set; with a perfect failure detector and
 // fail-stop crashes this terminates. Competing PREPAREs are ordered by
-// (epoch, coordinator position), lower coordinator winning ties.
+// epoch alone, under the promise rule of Paxos's phase 1: a member answers
+// at most one PREPARE per epoch, so no two coordinators collect the same
+// member's STATE at one epoch, and an epoch is installed with one
+// membership. A coordinator that loses gets no STATE and retries at a
+// higher epoch when its change times out. It restarts its own change after
+// one ChangeTimeout per view position it holds, plus one, so two
+// coordinators (one falsely suspecting the other) do not collide at each
+// next epoch forever.
 //
 // Quorum: a proposal keeps at least half of the current view. A strict
 // minority never proposes. Exactly half probes the rest of the view with a
@@ -107,8 +114,7 @@ type Manager struct {
 	incarnations map[ring.ProcID]uint64 // highest incarnation seen per joiner
 
 	// Member-side prepare bookkeeping.
-	hiEpoch   uint64
-	hiCoord   int // ring position of the coordinator of hiEpoch's prepare
+	hiEpoch   uint64 // the promise: no PREPARE at or below it is answered
 	snapshot  *core.RecoveryState
 	changing  bool
 	changeDue time.Time
@@ -508,35 +514,27 @@ func (m *Manager) handleSuspicion(from ring.ProcID, s *Suspicion, now time.Time)
 	m.OnSuspect(s.ID, now)
 }
 
-// prepareWins orders competing prepares: higher epoch wins; at equal epoch
-// the coordinator earlier in the current view order wins (it is the
-// rightful successor).
-func (m *Manager) prepareWins(epoch uint64, coord ring.ProcID) bool {
-	if epoch != m.hiEpoch {
-		return epoch > m.hiEpoch
-	}
-	pos, ok := m.view.Ring.Position(coord)
-	if !ok {
-		return false
-	}
-	return pos < m.hiCoord
-}
-
+// handlePrepare answers a PREPARE above every epoch this member has
+// promised, and promises its epoch: a member answers at most one PREPARE
+// per epoch, the first to arrive. hiEpoch is set at every install, so the
+// installed view's epoch counts as promised.
 func (m *Manager) handlePrepare(p *Prepare, now time.Time) {
 	if !slices.Contains(p.Members, m.cfg.Self) {
 		return // not part of that future; ignore
 	}
-	if p.Epoch <= m.view.ID || !m.prepareWins(p.Epoch, p.Coord) {
+	if p.Epoch <= m.hiEpoch {
 		return
 	}
 	m.hiEpoch = p.Epoch
-	if pos, ok := m.view.Ring.Position(p.Coord); ok {
-		m.hiCoord = pos
-	} else {
-		m.hiCoord = 0
-	}
 	m.changing = true
 	m.changeDue = now.Add(m.cfg.ChangeTimeout)
+	if p.Coord == m.cfg.Self {
+		// Of two coordinators (one falsely suspecting the other), the one
+		// earlier in the view restarts first, above the other's promise,
+		// instead of both colliding at each next epoch (package doc).
+		pos, _ := m.view.Ring.Position(m.cfg.Self)
+		m.changeDue = now.Add(time.Duration(pos+1) * m.cfg.ChangeTimeout)
+	}
 	// Freeze once per change: the snapshot taken for the highest prepare
 	// is the one that counts; a restarted change snapshots again (the
 	// engine is frozen, so the state is unchanged since the last one).
@@ -647,7 +645,6 @@ func (m *Manager) handleNewView(nv *NewView) {
 	m.snapshot = nil
 	m.collected = nil
 	m.hiEpoch = nv.Epoch
-	m.hiCoord = 0
 	m.installed = true
 	m.cfg.Callbacks.Install(v, &nv.Sync, rebroadcast)
 }

@@ -2,7 +2,9 @@ package vsc
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -290,35 +292,84 @@ func TestStalePrepareIgnored(t *testing.T) {
 	}
 }
 
+// TestEqualEpochTieBreak checks the promise rule: a member answers at most
+// one PREPARE per epoch. Its STATE goes to the coordinator it answered
+// first, and a later PREPARE at the same epoch gets nothing, even from a
+// coordinator earlier in view order.
 func TestEqualEpochTieBreak(t *testing.T) {
 	h := newHarness(t)
 	ids := []ring.ProcID{80, 81, 82}
 	bootstrap(t, h, ids)
 	m := h.managers[82]
-	// Two competing prepares with the same epoch: the coordinator earlier
-	// in view order must win even if it arrives second.
-	late := &Prepare{Epoch: 5, Coord: 81, Members: []ring.ProcID{81, 82}, T: 1}
-	early := &Prepare{Epoch: 5, Coord: 80, Members: []ring.ProcID{80, 82}, T: 1}
-	if err := m.HandlePayload(81, EncodePrepare(late), h.now); err != nil {
+	first := &Prepare{Epoch: 5, Coord: 81, Members: []ring.ProcID{81, 82}, T: 1}
+	second := &Prepare{Epoch: 5, Coord: 80, Members: []ring.ProcID{80, 82}, T: 1}
+	if err := m.HandlePayload(81, EncodePrepare(first), h.now); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.HandlePayload(80, EncodePrepare(early), h.now); err != nil {
+	if err := m.HandlePayload(80, EncodePrepare(second), h.now); err != nil {
 		t.Fatal(err)
 	}
-	// 82's state must have gone to 80 (the winner) with epoch 5: check the
-	// last message in 80's inbox is a State addressed from 82.
-	msgs := h.inboxes[80]
-	if len(msgs) == 0 {
-		t.Fatal("winner received no state")
+	if msgs := h.inboxes[80]; len(msgs) != 0 {
+		t.Fatalf("the second equal-epoch PREPARE was answered: %d messages to 80", len(msgs))
 	}
-	last := msgs[len(msgs)-1]
-	dec, err := Decode(last[1].([]byte))
+	msgs := h.inboxes[81]
+	if len(msgs) != 1 {
+		t.Fatalf("the first PREPARE got %d answers, want 1", len(msgs))
+	}
+	dec, err := Decode(msgs[0][1].([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := dec.(*State)
-	if !ok || st.From != 82 || st.Epoch != 5 {
-		t.Fatalf("winner got %T %+v", dec, dec)
+	if st, ok := dec.(*State); !ok || st.From != 82 || st.Epoch != 5 {
+		t.Fatalf("the first coordinator got %T %+v", dec, dec)
+	}
+}
+
+// fork reports the first epoch two members installed with different
+// memberships, or "".
+func (h *harness) fork() string {
+	seen := map[uint64][]ring.ProcID{}
+	for _, id := range slices.Sorted(maps.Keys(h.installs)) {
+		for _, v := range h.installs[id] {
+			members := v.Ring.Members()
+			if prev, ok := seen[v.ID]; ok && !slices.Equal(prev, members) {
+				return fmt.Sprintf("epoch %d installed as %v and as %v (by %d)", v.ID, prev, members, id)
+			}
+			seen[v.ID] = members
+		}
+	}
+	return ""
+}
+
+// TestOnePreparePerEpochRowJ is ledger row J's schedule. In the view
+// [0 2 1], member 2 falsely suspects 0, and its PREPARE(2, [2 1]) reaches
+// member 1, which answers. Then 0 falsely suspects 2 and sends
+// PREPARE(2, [0 1]). A positional tie-break let 1 answer that one too,
+// because 0 sits earlier in the view, and both coordinators minted epoch 2,
+// each with its own membership. Under the promise rule 1 answers only the
+// first: 2 and 1 install [2 1], and 0 learns it was excluded.
+func TestOnePreparePerEpochRowJ(t *testing.T) {
+	h := newHarness(t)
+	bootstrap(t, h, []ring.ProcID{0, 2, 1})
+	h.managers[2].OnSuspect(0, h.now)
+	msg := h.inboxes[1][0]
+	h.inboxes[1] = h.inboxes[1][1:]
+	if err := h.managers[1].HandlePayload(msg[0].(ring.ProcID), msg[1].([]byte), h.now); err != nil {
+		t.Fatal(err)
+	}
+	h.managers[0].OnSuspect(2, h.now)
+	h.pump()
+	if fork := h.fork(); fork != "" {
+		t.Fatal(fork)
+	}
+	want := []ring.ProcID{2, 1}
+	for _, id := range want {
+		if v := h.lastView(id); v.ID != 2 || !slices.Equal(v.Ring.Members(), want) {
+			t.Fatalf("node %d installed %d%v, want 2%v", id, v.ID, v.Ring.Members(), want)
+		}
+	}
+	if !h.evicted[0] {
+		t.Error("the losing coordinator was not told it was excluded")
 	}
 }
 

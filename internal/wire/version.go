@@ -10,12 +10,15 @@
 //   - Same-major versions interoperate on the layouts both speak. No
 //     decoder tolerates trailing bytes: DecodeFrameInto, DecodeClient,
 //     DecodeCatchup and DecodeAdmin all refuse a message longer than its
-//     layout, and a refused ring frame or catch-up message fail-stops the
-//     receiver. So a minor bump cannot append a field to an existing
-//     message. Adding one takes a new channel kind (skipped, below), a new
-//     client or admin message type (whose refusal the receiver drops), or
-//     a major bump. The only appended field same-major decoders read is
-//     the HELLO/REDIRECT version byte, last below.
+//     layout, and a refused ring frame, or a malformed view-change control
+//     or catch-up message of a known type, fail-stops the receiver. So a
+//     minor bump cannot append a field to an existing message. Adding one
+//     takes a new channel kind (skipped, below), a new message type, or a
+//     major bump. A member skips and counts a view-change control or
+//     catch-up message whose type it does not know (ErrUnknownType), and
+//     drops a refused client or admin message. The only appended field
+//     same-major decoders read is the HELLO/REDIRECT version byte, last
+//     below.
 //   - A different major is rejected with ErrVersion. Receivers SKIP such
 //     frames (count them, drop them) rather than failing the process: a
 //     too-new peer must not crash an old member, it must merely not be

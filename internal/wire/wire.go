@@ -361,6 +361,12 @@ const (
 // ErrBadCatchup reports an undecodable catch-up payload.
 var ErrBadCatchup = errors.New("wire: bad catch-up payload")
 
+// ErrUnknownType reports a well-formed payload whose message type byte this
+// build does not know: a newer minor's message, which receivers skip (see
+// the compat policy in version.go). DecodeCatchup returns it, and so does
+// the view-change control codec.
+var ErrUnknownType = errors.New("wire: unknown message type")
+
 // CatchupReq asks a peer for the delivered messages in (After, UpTo].
 type CatchupReq struct {
 	// After is the requester's last applied sequence number.
@@ -483,6 +489,6 @@ func DecodeCatchup(buf []byte) (any, error) {
 		}
 		return &p, nil
 	default:
-		return nil, fmt.Errorf("%w: type %d", ErrBadCatchup, typ)
+		return nil, fmt.Errorf("%w: catch-up type %d", ErrUnknownType, typ)
 	}
 }

@@ -35,7 +35,8 @@ type Metrics struct {
 	MultiSegFrames uint64
 	// SkippedVersion counts inbound payloads dropped for an incompatible
 	// (different-major) wire protocol version; SkippedUnknown counts
-	// payloads of an unknown channel kind or control type. Both are skips,
+	// payloads of an unknown channel kind, or of a view-change control or
+	// catch-up message type this build does not know. Both are skips,
 	// not faults — see the compat policy in internal/wire/version.go. A
 	// steadily climbing SkippedVersion means a mis-versioned peer is
 	// attached — page on this during upgrades.

@@ -712,15 +712,7 @@ func (n *Node) handlePayload(in inboundPayload) {
 			return
 		}
 	case wire.KindVSC:
-		if err := n.mgr.HandlePayload(in.from, in.payload, time.Now()); err != nil {
-			if errors.Is(err, vsc.ErrUnknownType) {
-				// A newer-minor peer's control message: skip, not fatal.
-				n.skippedUnknown++
-				return
-			}
-			n.fail(err)
-			return
-		}
+		n.failUnlessUnknown(n.mgr.HandlePayload(in.from, in.payload, time.Now()))
 	case wire.KindFD:
 		from, err := fd.Decode(in.payload)
 		if err != nil {
@@ -728,9 +720,7 @@ func (n *Node) handlePayload(in inboundPayload) {
 		}
 		n.fdet.HandleHeartbeat(from, time.Now())
 	case wire.KindCatchup:
-		if err := n.catchup.handle(in.from, in.payload, time.Now()); err != nil {
-			n.fail(err)
-		}
+		n.failUnlessUnknown(n.catchup.handle(in.from, in.payload, time.Now()))
 	case wire.KindClient:
 		n.srv.Handle(in.from, in.payload)
 	case wire.KindAdmin:
@@ -740,6 +730,19 @@ func (n *Node) handlePayload(in inboundPayload) {
 		// compat policy (wire version.go) says skip, never fail: the sender
 		// knows we may not understand and gets no reply.
 		n.skippedUnknown++
+	}
+}
+
+// failUnlessUnknown fail-stops the member on a view-change or catch-up
+// error, except a message type this build does not know: a newer minor's
+// message, which the compat policy (wire version.go) skips and counts.
+func (n *Node) failUnlessUnknown(err error) {
+	switch {
+	case err == nil:
+	case errors.Is(err, wire.ErrUnknownType):
+		n.skippedUnknown++
+	default:
+		n.fail(err)
 	}
 }
 

@@ -126,9 +126,6 @@ type SessionOptions struct {
 	// (the server keepalives idle subscriptions) before failover.
 	// Default 3s.
 	ProbeTimeout time.Duration
-	// RedialBackoff paces reconnection attempts while no member is
-	// reachable. Default 50ms.
-	RedialBackoff time.Duration
 	// OnClose, when set, runs after the session shuts down — the hook for
 	// releasing a transport endpoint owned by the dialer.
 	OnClose func()
@@ -158,11 +155,11 @@ func (o SessionOptions) withDefaults() SessionOptions {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 3 * time.Second
 	}
-	if o.RedialBackoff <= 0 {
-		o.RedialBackoff = 50 * time.Millisecond
-	}
 	return o
 }
+
+// redialBackoff paces reconnection attempts while no member is reachable.
+const redialBackoff = 50 * time.Millisecond
 
 // ErrNoMembers is returned by DialSession when no group member answered
 // the initial connection round.
@@ -499,7 +496,7 @@ func (s *remoteSession) connect(gen uint64, maxAttempts int) bool {
 		}
 		if attempt > 0 {
 			select {
-			case <-time.After(s.opts.RedialBackoff):
+			case <-time.After(redialBackoff):
 			case <-s.closed:
 				return false
 			}
