@@ -85,6 +85,7 @@ func TestAdminOpsMemberAndEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Stop)
+	watchCluster(t, cluster)
 	member := cluster.Node(0)
 
 	// Everything below goes through member 0, so its session counters are
@@ -264,6 +265,7 @@ func TestAdminEvictAndJoinHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Stop)
+	watchCluster(t, cluster)
 	awaitView := func(n *fsr.Node, want int) fsr.ViewInfo {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)

@@ -77,36 +77,8 @@ func TestSubscriberSeesEndOfBurst(t *testing.T) {
 	}
 }
 
-// TestWaitViewDoesNotStealViews: WaitView and an application consumer of
-// Views observe the same view change — WaitView no longer drains the
-// channel out from under the application.
-func TestWaitViewDoesNotStealViews(t *testing.T) {
-	c := newCluster(t, 4, 1)
-	seen := make(chan fsr.ViewInfo, 64)
-	go func() {
-		for v := range c.Node(0).Views() {
-			seen <- v
-		}
-	}()
-	c.Crash(3)
-	if _, ok := c.WaitView(0, 3, 10*time.Second); !ok {
-		t.Fatal("WaitView never observed the 3-member view")
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case v := <-seen:
-			if len(v.Members) == 3 {
-				return // the application consumer saw it too
-			}
-		case <-deadline:
-			t.Fatal("application Views consumer never saw the 3-member view")
-		}
-	}
-}
-
 // TestCurrentViewTracksInstall: CurrentView starts at the initial view and
-// follows view changes without consuming Views.
+// follows view changes.
 func TestCurrentViewTracksInstall(t *testing.T) {
 	c := newCluster(t, 3, 2)
 	v := c.Node(1).CurrentView()
@@ -124,9 +96,9 @@ func TestCurrentViewTracksInstall(t *testing.T) {
 }
 
 // TestRequestAcceptedBooleans: Join/Leave/RotateLeader report whether the
-// event loop accepted the request — true on a live node with an empty
-// request slot, false once the node has halted (the loop will never
-// process the request, so pretending acceptance would strand the caller).
+// event loop took the request — true on a live node, false once the node
+// has halted (the loop will never process the request, so pretending
+// acceptance would strand the caller).
 func TestRequestAcceptedBooleans(t *testing.T) {
 	c := newCluster(t, 3, 1)
 	live := c.Node(0)

@@ -15,12 +15,10 @@ import (
 
 // ClusterConfig parameterizes a Cluster (NewCluster).
 type ClusterConfig struct {
-	// N is the number of nodes. Required.
+	// N is the number of nodes; they are numbered 0..N-1. Required.
 	N int
 	// T is the tolerated number of failures. Default 1.
 	T int
-	// FirstID numbers the members FirstID..FirstID+N-1. Default 0.
-	FirstID ProcID
 	// NodeConfig is the per-node template; Self and Members are filled in.
 	// Leave its DurableDir and StateMachine empty — they are per-member
 	// and set through the fields below.
@@ -240,7 +238,7 @@ func NewCluster(cfg ClusterConfig, ct ClusterTransport) (*Cluster, error) {
 	}
 	ids := make([]ProcID, cfg.N)
 	for i := range ids {
-		ids[i] = cfg.FirstID + ProcID(i)
+		ids[i] = ProcID(i)
 	}
 	c := &Cluster{cfg: cfg, ct: ct, ids: ids}
 	trs := make([]transport.Transport, 0, cfg.N)
@@ -445,8 +443,7 @@ func (c *Cluster) Stop() {
 }
 
 // WaitView blocks until node i reports an installed view with the given
-// member count, or the timeout expires. It observes CurrentView rather than
-// the Views channel, so it never races an application consumer of Views.
+// member count, or the timeout expires. It polls CurrentView.
 func (c *Cluster) WaitView(i int, members int, timeout time.Duration) (ViewInfo, bool) {
 	deadline := time.Now().Add(timeout)
 	for {

@@ -147,11 +147,6 @@ func run(self fsr.ProcID, peersFlag string, tol int, send time.Duration, durable
 			}
 		}()
 	}
-	go func() {
-		for v := range node.Views() {
-			fmt.Printf("view %d installed: members=%v t=%d\n", v.ID, v.Members, v.T)
-		}
-	}()
 	// Print the order from the tail on. An ephemeral member retains a
 	// bounded tail, so a reader that stalls long enough (or a joiner whose
 	// admission moves its horizon) falls below it and the stream ends; say

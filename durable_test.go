@@ -259,6 +259,7 @@ func TestClusterRestartCatchUpExactPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	ids := cluster.IDs()
 
 	// Phase A: traffic with every member up.
@@ -327,6 +328,7 @@ func TestJoinerFullStateTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	ids := cluster.IDs()
 
 	// Enough traffic that every member snapshotted (SnapshotEvery 48) and
@@ -374,6 +376,7 @@ func TestRestartWithoutTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	ids := cluster.IDs()
 
 	writeBatch(t, cluster.Nodes(), 0, 60)
@@ -414,6 +417,7 @@ func TestRestartOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	ids := cluster.IDs()
 
 	writeBatch(t, cluster.Nodes(), 0, 60)

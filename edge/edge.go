@@ -132,7 +132,7 @@ func newCore(cfg CoreConfig, fs wal.FS) (*Edge, error) {
 	adm := e.newAdmin()
 	cfg.Transport.SetHandler(func(from transport.ProcID, payload []byte) {
 		if len(payload) > 0 && payload[0] == wire.KindAdmin {
-			adm.Handle(from, payload)
+			adm.Handle(from, payload, time.Now())
 			return
 		}
 		e.srv.Handle(from, payload)
@@ -175,7 +175,7 @@ func (e *Edge) newAdmin() *serve.AdminResponder {
 			}
 			return m
 		},
-		Op: func(req *wire.AdminReq) any {
+		Op: func(req *wire.AdminReq, _ time.Time) any {
 			if req.Op != wire.AdminSnapshot {
 				return nil
 			}

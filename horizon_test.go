@@ -46,6 +46,7 @@ func TestStalledTailSubscriberGapFreeOrBelowHorizon(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cluster.Stop()
+			watchCluster(t, cluster)
 			addrs := ct.Addrs()
 			pub, err := client.Dial(client.Config{Addrs: addrs[:1], Window: 256})
 			if err != nil {

@@ -20,12 +20,6 @@ import (
 	"fsr/internal/wire"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultInterval = 50 * time.Millisecond
-	DefaultTimeout  = 500 * time.Millisecond
-)
-
 // Config parameterizes a Detector.
 type Config struct {
 	// Self is this process's ID (never monitored, never suspected).
@@ -40,72 +34,68 @@ type Config struct {
 	// dead link is exactly what the timeout detects.
 	Send func(to ring.ProcID, payload []byte)
 	// Suspect is invoked exactly once per peer when it is declared
-	// crashed. Called from Tick's goroutine.
-	Suspect func(p ring.ProcID)
+	// crashed, from within Tick and at its now.
+	Suspect func(p ring.ProcID, now time.Time)
 }
 
 // Detector is the pure failure-detector state machine. Not goroutine-safe:
 // its owner serializes every call.
 type Detector struct {
-	cfg      Config
-	lastSeen map[ring.ProcID]time.Time
-	suspects map[ring.ProcID]bool
+	cfg Config
+	// peers is the monitored set in SetPeers order. Tick walks it, so the
+	// order of its sends and suspicions is a function of its inputs.
+	peers    []peer
 	lastBeat time.Time
+}
+
+type peer struct {
+	id       ring.ProcID
+	lastSeen time.Time
+	suspect  bool
 }
 
 // New builds a detector with no monitored peers yet.
 func New(cfg Config) (*Detector, error) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.Timeout <= cfg.Interval {
-		return nil, fmt.Errorf("fd: timeout %v must exceed interval %v", cfg.Timeout, cfg.Interval)
+	if cfg.Interval <= 0 || cfg.Timeout <= cfg.Interval {
+		return nil, fmt.Errorf("fd: timeout %v must exceed a positive interval %v", cfg.Timeout, cfg.Interval)
 	}
 	if cfg.Send == nil || cfg.Suspect == nil {
 		return nil, fmt.Errorf("fd: Send and Suspect callbacks are required")
 	}
-	return &Detector{
-		cfg:      cfg,
-		lastSeen: make(map[ring.ProcID]time.Time),
-		suspects: make(map[ring.ProcID]bool),
-	}, nil
+	return &Detector{cfg: cfg}, nil
+}
+
+// find returns the monitored peer p, or nil.
+func (d *Detector) find(p ring.ProcID) *peer {
+	for i := range d.peers {
+		if d.peers[i].id == p {
+			return &d.peers[i]
+		}
+	}
+	return nil
 }
 
 // SetPeers replaces the monitored peer set (typically on view change). New
 // peers get a fresh grace period starting at now; suspicions of processes
 // no longer in the set are forgotten.
 func (d *Detector) SetPeers(peers []ring.ProcID, now time.Time) {
-	seen := make(map[ring.ProcID]time.Time, len(peers))
-	susp := make(map[ring.ProcID]bool)
+	next := make([]peer, 0, len(peers))
 	for _, p := range peers {
-		if p == d.cfg.Self {
-			continue
-		}
-		if t, ok := d.lastSeen[p]; ok {
-			seen[p] = t
-		} else {
-			seen[p] = now
-		}
-		if d.suspects[p] {
-			susp[p] = true
+		if old := d.find(p); old != nil {
+			next = append(next, *old)
+		} else if p != d.cfg.Self {
+			next = append(next, peer{id: p, lastSeen: now})
 		}
 	}
-	d.lastSeen = seen
-	d.suspects = susp
+	d.peers = next
 }
 
 // HandleHeartbeat records proof of life from a peer. Heartbeats from
 // processes already suspected are ignored: P never revises a suspicion
 // (strong accuracy makes that sound in the fail-stop model).
 func (d *Detector) HandleHeartbeat(from ring.ProcID, now time.Time) {
-	if d.suspects[from] {
-		return
-	}
-	if _, monitored := d.lastSeen[from]; monitored {
-		d.lastSeen[from] = now
+	if p := d.find(from); p != nil && !p.suspect {
+		p.lastSeen = now
 	}
 }
 
@@ -115,22 +105,27 @@ func (d *Detector) Tick(now time.Time) {
 	if d.lastBeat.IsZero() || now.Sub(d.lastBeat) >= d.cfg.Interval {
 		d.lastBeat = now
 		hb := Encode(d.cfg.Self)
-		for p := range d.lastSeen {
-			if !d.suspects[p] {
-				d.cfg.Send(p, hb)
+		for _, p := range d.peers {
+			if !p.suspect {
+				d.cfg.Send(p.id, hb)
 			}
 		}
 	}
-	for p, last := range d.lastSeen {
-		if !d.suspects[p] && now.Sub(last) > d.cfg.Timeout {
-			d.suspects[p] = true
-			d.cfg.Suspect(p)
+	peers := d.peers // a Suspect callback may install a view and SetPeers
+	for i := range peers {
+		p := &peers[i]
+		if !p.suspect && now.Sub(p.lastSeen) > d.cfg.Timeout {
+			p.suspect = true
+			d.cfg.Suspect(p.id, now)
 		}
 	}
 }
 
 // Suspected reports whether p is currently suspected.
-func (d *Detector) Suspected(p ring.ProcID) bool { return d.suspects[p] }
+func (d *Detector) Suspected(p ring.ProcID) bool {
+	q := d.find(p)
+	return q != nil && q.suspect
+}
 
 // Encode builds the heartbeat payload for a sender (KindFD + ProcID).
 func Encode(self ring.ProcID) []byte {

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func (r *recorder) send(to ring.ProcID, payload []byte) {
 	r.sent[to]++
 }
 
-func (r *recorder) suspect(p ring.ProcID) {
+func (r *recorder) suspect(p ring.ProcID, _ time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.suspected = append(r.suspected, p)
@@ -53,8 +54,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing callbacks accepted")
 	}
-	if _, err := New(Config{Send: rec.send, Suspect: rec.suspect}); err != nil {
-		t.Errorf("defaults rejected: %v", err)
+	if _, err := New(Config{Timeout: 5, Send: rec.send, Suspect: rec.suspect}); err == nil {
+		t.Error("zero interval accepted") // the node supplies both; fd has no defaults
 	}
 }
 
@@ -161,5 +162,32 @@ func TestEncodeDecode(t *testing.T) {
 	payload[0] = 0x7F
 	if _, err := Decode(payload); err == nil {
 		t.Error("wrong kind accepted")
+	}
+}
+
+// TestTickWalksPeersInSetPeersOrder: heartbeats and suspicions leave in the
+// order SetPeers was given, never in map order, so a member's sends are a
+// function of its inputs.
+func TestTickWalksPeersInSetPeersOrder(t *testing.T) {
+	var beats, suspects []ring.ProcID
+	d, err := New(Config{
+		Self: 0, Interval: 10 * time.Millisecond, Timeout: 35 * time.Millisecond,
+		Send:    func(to ring.ProcID, _ []byte) { beats = append(beats, to) },
+		Suspect: func(p ring.ProcID, _ time.Time) { suspects = append(suspects, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []ring.ProcID{7, 3, 9, 1, 5, 8, 2, 6, 4}
+	t0 := time.Unix(0, 0)
+	d.SetPeers(order, t0)
+	d.Tick(t0)
+	d.Tick(t0.Add(time.Second))
+	want := append(slices.Clone(order), order...)
+	if !slices.Equal(beats, want) {
+		t.Errorf("heartbeats went to %v, want %v", beats, want)
+	}
+	if !slices.Equal(suspects, order) {
+		t.Errorf("suspected %v, want %v", suspects, order)
 	}
 }

@@ -190,7 +190,7 @@ func RunScenario(t TB, sc Scenario) {
 	}
 	if sc.Disk != nil {
 		// One fault-injecting disk for the scenario's hostile member,
-		// shared across its incarnations (FirstID is 0, so cluster index
+		// shared across its incarnations (members number from 0, so cluster index
 		// == ProcID). Everyone else runs on the real filesystem.
 		run.diskFS = walfault.New(nil, *sc.Disk)
 		run.diskFS.Disarm() // boot on a calm disk; armed once the cluster is up

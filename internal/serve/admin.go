@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"time"
 
 	"fsr/admin"
 	"fsr/internal/wire"
@@ -34,13 +35,13 @@ type AdminResponder struct {
 	Publishes func() (accepted, duplicates, bounded uint64)
 	// Op answers the ops whose meaning is the host's own — snapshot, a
 	// member's evict and join-hint — with the body to marshal, nil for an
-	// op the host does not know.
-	Op func(req *wire.AdminReq) any
+	// op the host does not know. now is Handle's.
+	Op func(req *wire.AdminReq, now time.Time) any
 }
 
-// Handle answers one KindAdmin payload from a client. Garbage and stray
-// responses are dropped without a reply.
-func (r *AdminResponder) Handle(from transport.ProcID, payload []byte) {
+// Handle answers one KindAdmin payload from a client, at the host's time
+// now. Garbage and stray responses are dropped without a reply.
+func (r *AdminResponder) Handle(from transport.ProcID, payload []byte, now time.Time) {
 	v, err := wire.DecodeAdmin(payload)
 	if err != nil {
 		return
@@ -82,7 +83,7 @@ func (r *AdminResponder) Handle(from transport.ProcID, payload []byte) {
 		}
 		body = &s
 	default:
-		body = r.Op(req)
+		body = r.Op(req, now)
 	}
 	if body == nil {
 		resp.Err = "unknown admin op"

@@ -24,6 +24,7 @@ const (
 	msgLeaveReq
 	msgSuspicion
 	msgFence
+	msgEpochSuspicion
 )
 
 // ErrBadControl reports an undecodable control payload.
@@ -75,8 +76,17 @@ type LeaveReq struct{ ID ring.ProcID }
 // through the silent pair would stay wedged forever (bug #16, found by the
 // asym-partition chaos profile). A non-coordinator therefore reports what
 // it saw; the coordinator treats the report exactly like a local
-// suspicion.
+// suspicion. This build sends EpochSuspicion; a Suspicion is an older one's.
 type Suspicion struct{ ID ring.ProcID }
+
+// EpochSuspicion is a Suspicion stamped with the epoch of the view its
+// reporter held, so the coordinator can drop one raised in an older view
+// (see handleSuspicion). It is a type of its own because the compat policy
+// forbids appending a field to Suspicion (internal/wire version.go).
+type EpochSuspicion struct {
+	Epoch uint64
+	ID    ring.ProcID
+}
 
 // Fence carries the sender's installed view. A member stalled in its view
 // sends it to the rest of that view, and a member holding a newer view
@@ -221,9 +231,10 @@ func EncodeLeaveReq(l *LeaveReq) []byte {
 	return w.buf
 }
 
-// EncodeSuspicion serializes a Suspicion.
-func EncodeSuspicion(s *Suspicion) []byte {
-	w := &writer{buf: []byte{wire.KindVSC, msgSuspicion}}
+// EncodeEpochSuspicion serializes an EpochSuspicion.
+func EncodeEpochSuspicion(s *EpochSuspicion) []byte {
+	w := &writer{buf: []byte{wire.KindVSC, msgEpochSuspicion}}
+	w.u64(s.Epoch)
 	w.u32(uint32(s.ID))
 	return w.buf
 }
@@ -437,6 +448,16 @@ func Decode(payload []byte) (any, error) {
 			return nil, err
 		}
 		return &Suspicion{ID: ring.ProcID(id)}, nil
+	case msgEpochSuspicion:
+		epoch, err := r.u64()
+		if err != nil {
+			return nil, err
+		}
+		id, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		return &EpochSuspicion{Epoch: epoch, ID: ring.ProcID(id)}, nil
 	case msgFence:
 		var f Fence
 		if f.Epoch, err = r.u64(); err != nil {

@@ -34,8 +34,8 @@ import (
 //     cut longer than a detector timeout makes it;
 //   - crash a member: its queues, in and out, are lost;
 //   - restart a down (crashed or evicted) member as a fresh Joiner Manager
-//     with a higher incarnation, which calls RequestJoin and repeats it
-//     every ChangeTimeout until admitted, as the node does;
+//     with a higher incarnation, which calls RequestJoin (its Tick repeats
+//     the request every ChangeTimeout until admitted);
 //   - cut one directed link: what is queued on it is lost and so is what is
 //     sent on it until the next clock step, which heals it;
 //   - once every link is empty, advance the logical clock by half a
@@ -91,9 +91,6 @@ type exMember struct {
 	m      *Manager // nil while crashed
 	inc    uint64
 	halted bool // evicted: fail-stopped until restarted
-	// sinceJoin counts clock steps since a pre-admission joiner last sent
-	// its JoinReq.
-	sinceJoin int
 	// peers is the membership the detector watches: the installed view's,
 	// nil before the first install.
 	peers []ring.ProcID
@@ -136,7 +133,7 @@ func (w *exWorld) callbacks(i int) Callbacks {
 	return Callbacks{
 		Send:     func(to ring.ProcID, p []byte) { w.send(i, int(to), p) },
 		Snapshot: func() core.RecoveryState { return core.RecoveryState{NextDeliver: 1} },
-		Install: func(v core.View, _ *core.Sync, _ []core.PendingMsg) {
+		Install: func(v core.View, _ *core.Sync, _ []core.PendingMsg, _ time.Time) {
 			members := v.Ring.Members()
 			if prev, ok := w.installs[v.ID]; ok && !slices.Equal(prev, members) {
 				if w.fork == "" {
@@ -364,22 +361,17 @@ func (w *exWorld) restart(i int) {
 	x := &w.mem[i]
 	x.inc++
 	x.halted = false
-	x.sinceJoin = 0
 	x.peers = nil
 	x.m = newManagerFor(w, i, core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{ring.ProcID(i)}, 0)}, true, x.inc)
 	w.owned[i] = true
 	w.dropQueues(i)
-	w.requestJoin(i)
-}
-
-func (w *exWorld) requestJoin(i int) {
 	var contacts []ring.ProcID
 	for j := range w.n {
 		if j != i {
 			contacts = append(contacts, ring.ProcID(j))
 		}
 	}
-	w.own(i).RequestJoin(contacts)
+	w.own(i).RequestJoin(contacts, w.now())
 }
 
 func (w *exWorld) tick() {
@@ -393,12 +385,6 @@ func (w *exWorld) tick() {
 			continue
 		}
 		w.own(i).Tick(now)
-		if !x.m.installed {
-			if x.sinceJoin++; x.sinceJoin == 2 {
-				x.sinceJoin = 0
-				w.requestJoin(i)
-			}
-		}
 	}
 }
 
@@ -540,7 +526,6 @@ func (w *exWorld) hash(seed maphash.Seed, buf []byte) ([]byte, uint64) {
 		x := &w.mem[i]
 		u(x.inc)
 		flag(x.halted)
-		u(uint64(x.sinceJoin))
 		m := x.m
 		flag(m != nil)
 		if m == nil {
@@ -562,6 +547,8 @@ func (w *exWorld) hash(seed maphash.Seed, buf []byte) ([]byte, uint64) {
 		rel(m.changeDue)
 		flag(m.halfDeferred)
 		rel(m.suspFwdDue)
+		ids(m.contacts)
+		rel(m.joinDue)
 		u(m.myEpoch)
 		ids(m.proposed)
 		u(uint64(m.proposedT))
@@ -600,7 +587,7 @@ func (w *exWorld) hash(seed maphash.Seed, buf []byte) ([]byte, uint64) {
 
 // managerFields is the number of Manager fields hash was written against.
 // It reads all of them but log and cfg's callbacks, which are wiring.
-const managerFields = 19
+const managerFields = 21
 
 // exStep is one move on the current branch, with the payload a delivery
 // carried.
@@ -646,6 +633,8 @@ func describePayload(p []byte) string {
 		return fmt.Sprintf("LEAVE(%d)", v.ID)
 	case *Suspicion:
 		return fmt.Sprintf("SUSPECT(%d)", v.ID)
+	case *EpochSuspicion:
+		return fmt.Sprintf("SUSPECT(%d at %d)", v.ID, v.Epoch)
 	case *Fence:
 		return fmt.Sprintf("FENCE(%d %v)", v.Epoch, v.Members)
 	}

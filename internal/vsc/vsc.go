@@ -44,6 +44,7 @@ package vsc
 import (
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"time"
 
@@ -64,8 +65,8 @@ type Callbacks struct {
 	Snapshot func() core.RecoveryState
 	// Install applies an agreed view: the node installs it into the
 	// engine, re-broadcasts the dropped own segments, points the failure
-	// detector at the new membership, and resumes the engine.
-	Install func(v core.View, sync *core.Sync, rebroadcast []core.PendingMsg)
+	// detector at the new membership, and resumes the engine, at now.
+	Install func(v core.View, sync *core.Sync, rebroadcast []core.PendingMsg, now time.Time)
 	// Evicted tells a node it was excluded from the group (its leave was
 	// honored, or it was wrongly suspected — impossible under a perfect
 	// FD, but surfaced rather than hidden).
@@ -126,6 +127,9 @@ type Manager struct {
 	// non-coordinator repeats them until some view change settles the
 	// membership.
 	suspFwdDue time.Time
+	// contacts and joinDue drive a joiner's JoinReq retry (RequestJoin).
+	contacts []ring.ProcID
+	joinDue  time.Time
 
 	// Coordinator-side collection state.
 	myEpoch   uint64
@@ -203,7 +207,7 @@ func (m *Manager) OnSuspect(p ring.ProcID, now time.Time) {
 	if coord, isCoord := m.coordinator(); isCoord {
 		m.startChange(now)
 	} else {
-		m.cfg.Callbacks.Send(coord, EncodeSuspicion(&Suspicion{ID: p}))
+		m.cfg.Callbacks.Send(coord, EncodeEpochSuspicion(&EpochSuspicion{Epoch: m.view.ID, ID: p}))
 	}
 	if !m.changing {
 		m.suspFwdDue = now.Add(m.cfg.ChangeTimeout)
@@ -212,7 +216,10 @@ func (m *Manager) OnSuspect(p ring.ProcID, now time.Time) {
 
 // RequestJoin is called by a joiner to ask admission; contact is any known
 // member (typically all of them, so a crashed contact cannot block entry).
-func (m *Manager) RequestJoin(contact []ring.ProcID) {
+// Until a view admits it, Tick repeats the request every ChangeTimeout to
+// the latest contacts given.
+func (m *Manager) RequestJoin(contact []ring.ProcID, now time.Time) {
+	m.contacts, m.joinDue = contact, now.Add(m.cfg.ChangeTimeout)
 	req := EncodeJoinReq(&JoinReq{ID: m.cfg.Self, Incarnation: m.cfg.Incarnation})
 	for _, c := range contact {
 		if c != m.cfg.Self {
@@ -222,7 +229,7 @@ func (m *Manager) RequestJoin(contact []ring.ProcID) {
 }
 
 // RequestLeave announces this process's graceful departure.
-func (m *Manager) RequestLeave() {
+func (m *Manager) RequestLeave(now time.Time) {
 	if !m.installed {
 		// Not admitted yet: there is no membership to leave. Fail-stop
 		// directly, matching Leave's contract that the node halts.
@@ -237,7 +244,7 @@ func (m *Manager) RequestLeave() {
 		return
 	}
 	m.leavers[m.cfg.Self] = true
-	m.startChange(time.Time{})
+	m.startChange(now)
 }
 
 // RequestEvict asks the group to exclude target — the operator-driven
@@ -252,7 +259,7 @@ func (m *Manager) RequestEvict(target ring.ProcID, now time.Time) bool {
 		return false
 	}
 	if target == m.cfg.Self {
-		m.RequestLeave()
+		m.RequestLeave(now)
 		return true
 	}
 	m.log.Info("evict requested", "target", uint32(target))
@@ -278,10 +285,10 @@ func (m *Manager) RotateLeader(now time.Time) {
 }
 
 // Tick drives timeouts: a member stuck in a change asks the coordinator
-// role to restart it (it may BE the new coordinator), and a
-// non-coordinator with unresolved suspicions re-forwards them (the
-// forward is a best-effort send that the fault being reported may itself
-// have eaten).
+// role to restart it (it may BE the new coordinator), a non-coordinator
+// with unresolved suspicions re-forwards them (the forward is a
+// best-effort send that the fault being reported may itself have eaten),
+// and a joiner not yet admitted repeats its JoinReq.
 //
 // Both stalls also probe the rest of the view with a Fence: the group may
 // have installed a view without us whose NEWVIEW the fault ate, and then
@@ -289,6 +296,9 @@ func (m *Manager) RotateLeader(now time.Time) {
 // coordinator, which may not propose, and an exactly-half wait re-probes
 // on every tick.
 func (m *Manager) Tick(now time.Time) {
+	if !m.installed && m.contacts != nil && !now.Before(m.joinDue) {
+		m.RequestJoin(m.contacts, now)
+	}
 	if m.changing && now.After(m.changeDue) {
 		m.probe()
 		if _, isSelf := m.coordinator(); isSelf {
@@ -322,7 +332,7 @@ func (m *Manager) Tick(now time.Time) {
 			if !m.alive[p] && p != m.cfg.Self {
 				suspects = true
 				if !isCoord {
-					m.cfg.Callbacks.Send(coord, EncodeSuspicion(&Suspicion{ID: p}))
+					m.cfg.Callbacks.Send(coord, EncodeEpochSuspicion(&EpochSuspicion{Epoch: m.view.ID, ID: p}))
 				}
 			}
 		}
@@ -480,15 +490,19 @@ func (m *Manager) HandlePayload(from ring.ProcID, payload []byte, now time.Time)
 	case *Prepare:
 		m.handlePrepare(v, now)
 	case *State:
-		m.handleState(v)
+		m.handleState(v, now)
 	case *NewView:
-		m.handleNewView(v)
+		m.handleNewView(v, now)
 	case *JoinReq:
 		m.handleJoinReq(v, now)
 	case *LeaveReq:
 		m.handleLeaveReq(v, now)
 	case *Suspicion:
-		m.handleSuspicion(from, v, now)
+		m.handleSuspicion(from, v.ID, now)
+	case *EpochSuspicion:
+		if v.Epoch >= m.view.ID {
+			m.handleSuspicion(from, v.ID, now)
+		}
 	case *Fence:
 		m.handleFence(from, v)
 	default:
@@ -502,16 +516,17 @@ func (m *Manager) HandlePayload(from ring.ProcID, payload []byte, now time.Time)
 // hearsay; if the group agrees, its NEWVIEW will exclude us and THAT is
 // the eviction signal. So is a report from outside our view: a member the
 // group left behind suspects everyone who stopped heartbeating it, and
-// must not get them evicted. OnSuspect's own routing then applies: act if
-// we coordinate, forward along if someone earlier in the view is still
-// alive by our books (the report may race our own detector's view of the
-// coordinator).
-func (m *Manager) handleSuspicion(from ring.ProcID, s *Suspicion, now time.Time) {
-	if s.ID == m.cfg.Self || !m.view.Ring.Contains(s.ID) || !m.view.Ring.Contains(from) {
+// must not get them evicted. So is one raised in an older view, which may
+// have readmitted the suspect since (ledger row N; HandlePayload drops it).
+// OnSuspect's own routing then applies: act if we coordinate, forward
+// along if someone earlier in the view is still alive by our books (the
+// report may race our own detector's view of the coordinator).
+func (m *Manager) handleSuspicion(from, suspect ring.ProcID, now time.Time) {
+	if suspect == m.cfg.Self || !m.view.Ring.Contains(suspect) || !m.view.Ring.Contains(from) {
 		return
 	}
-	m.log.Info("suspicion relayed", "suspect", uint32(s.ID))
-	m.OnSuspect(s.ID, now)
+	m.log.Info("suspicion relayed", "suspect", uint32(suspect))
+	m.OnSuspect(suspect, now)
 }
 
 // handlePrepare answers a PREPARE above every epoch this member has
@@ -542,13 +557,13 @@ func (m *Manager) handlePrepare(p *Prepare, now time.Time) {
 	m.snapshot = &snap
 	st := &State{Epoch: p.Epoch, From: m.cfg.Self, Joiner: !m.installed, Recovery: snap}
 	if p.Coord == m.cfg.Self {
-		m.handleState(st)
+		m.handleState(st, now)
 		return
 	}
 	m.cfg.Callbacks.Send(p.Coord, EncodeState(st))
 }
 
-func (m *Manager) handleState(s *State) {
+func (m *Manager) handleState(s *State, now time.Time) {
 	if s.Epoch != m.myEpoch || m.collected == nil {
 		return // stale or not coordinating
 	}
@@ -561,8 +576,8 @@ func (m *Manager) handleState(s *State) {
 	}
 	// Everyone answered: merge non-joiner states and finalize.
 	var states []core.RecoveryState
-	for _, st := range m.collected {
-		if !st.Joiner {
+	for _, p := range m.proposed {
+		if st := m.collected[p]; !st.Joiner {
 			states = append(states, st.Recovery)
 		}
 	}
@@ -592,7 +607,7 @@ func (m *Manager) handleState(s *State) {
 	}
 	// Graceful leavers are outside the new membership but still deserve to
 	// learn the change went through (they evict themselves on receipt).
-	for p := range m.leavers {
+	for _, p := range slices.Sorted(maps.Keys(m.leavers)) {
 		if p != m.cfg.Self && !slices.Contains(m.proposed, p) {
 			m.cfg.Callbacks.Send(p, payload)
 		}
@@ -611,10 +626,10 @@ func (m *Manager) handleState(s *State) {
 			m.cfg.Callbacks.Send(p, payload)
 		}
 	}
-	m.handleNewView(nv)
+	m.handleNewView(nv, now)
 }
 
-func (m *Manager) handleNewView(nv *NewView) {
+func (m *Manager) handleNewView(nv *NewView, now time.Time) {
 	if nv.Epoch <= m.view.ID {
 		return // stale
 	}
@@ -646,7 +661,8 @@ func (m *Manager) handleNewView(nv *NewView) {
 	m.collected = nil
 	m.hiEpoch = nv.Epoch
 	m.installed = true
-	m.cfg.Callbacks.Install(v, &nv.Sync, rebroadcast)
+	m.contacts, m.joinDue = nil, time.Time{}
+	m.cfg.Callbacks.Install(v, &nv.Sync, rebroadcast, now)
 }
 
 // excluded handles an agreed view newer than ours that leaves us out.

@@ -62,7 +62,7 @@ func (h *harness) addInc(id ring.ProcID, initial core.View, joiner bool, inc uin
 				}
 			},
 			Snapshot: func() core.RecoveryState { return h.snaps[id] },
-			Install: func(v core.View, sync *core.Sync, rb []core.PendingMsg) {
+			Install: func(v core.View, sync *core.Sync, rb []core.PendingMsg, _ time.Time) {
 				h.installs[id] = append(h.installs[id], v)
 				h.rebro[id] = append(h.rebro[id], rb...)
 			},
@@ -180,7 +180,7 @@ func TestJoin(t *testing.T) {
 	bootstrap(t, h, ids)
 	solo := core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{25}, 0)}
 	j := h.add(25, solo, true)
-	j.RequestJoin([]ring.ProcID{20, 21, 22})
+	j.RequestJoin([]ring.ProcID{20, 21, 22}, h.now)
 	h.pump()
 	want := []ring.ProcID{20, 21, 22, 25}
 	for _, id := range want {
@@ -194,11 +194,80 @@ func TestJoin(t *testing.T) {
 	}
 }
 
+// TestJoinRetriedByTick: a joiner whose JoinReq was lost asks again once
+// a ChangeTimeout has passed, and stops asking once a view admits it.
+func TestJoinRetriedByTick(t *testing.T) {
+	h := newHarness(t)
+	ids := []ring.ProcID{20, 21, 22}
+	bootstrap(t, h, ids)
+	j := h.add(25, core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{25}, 0)}, true)
+	j.RequestJoin(ids, h.now)
+	for _, id := range ids {
+		h.inboxes[id] = nil // every JoinReq lost
+	}
+	h.now = h.now.Add(50 * time.Millisecond)
+	j.Tick(h.now)
+	if h.pump(); len(h.installs[25]) != 0 {
+		t.Fatal("admitted without a JoinReq")
+	}
+	h.now = h.now.Add(50 * time.Millisecond)
+	j.Tick(h.now) // one ChangeTimeout after the request
+	h.pump()
+	if got := h.lastView(25).Ring.Members(); !slices.Contains(got, 25) {
+		t.Fatalf("joiner not admitted by the retry: %v", got)
+	}
+	h.now = h.now.Add(time.Second)
+	j.Tick(h.now)
+	for _, id := range ids {
+		if len(h.inboxes[id]) != 0 {
+			t.Fatalf("admitted joiner still sends to %d", id)
+		}
+	}
+}
+
+// TestStaleSuspicionRelayDropped is ledger row N: a suspicion relayed while
+// its suspect was down reached the coordinator only after a later view had
+// readmitted the suspect, and the coordinator evicted it again ("upgraded
+// member 3 never rejoined", rolling-upgrade seed 1792421723069954599). A
+// relay now carries the reporter's epoch, and one from an older view is
+// dropped.
+func TestStaleSuspicionRelayDropped(t *testing.T) {
+	h := newHarness(t)
+	ids := []ring.ProcID{1, 2, 3}
+	bootstrap(t, h, ids)
+	h.crash(3)
+	h.managers[2].OnSuspect(3, h.now) // relayed to coordinator 1 ...
+	late := h.inboxes[1]
+	h.inboxes[1] = nil // ... and held up on the way
+	if len(late) != 1 {
+		t.Fatalf("want one relay queued at the coordinator, got %d", len(late))
+	}
+	h.managers[1].OnSuspect(3, h.now)
+	h.pump()
+	if got := h.lastView(1).Ring.Members(); slices.Contains(got, 3) {
+		t.Fatalf("3 not evicted: %v", got)
+	}
+	// 3 restarts and is readmitted.
+	h.crashed[3] = false
+	h.addInc(3, core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{3}, 0)}, true, 2).
+		RequestJoin([]ring.ProcID{1, 2}, h.now)
+	h.pump()
+	readmitted := h.lastView(1)
+	if !slices.Equal(readmitted.Ring.Members(), ids) {
+		t.Fatalf("3 not readmitted: %s", viewString(readmitted))
+	}
+	h.inboxes[1] = late // the relay from epoch 1 arrives
+	h.pump()
+	if v := h.lastView(1); v.ID != readmitted.ID || h.evicted[3] {
+		t.Fatalf("a relay from epoch 1 evicted readmitted 3: %s, then %s", viewString(readmitted), viewString(v))
+	}
+}
+
 func TestLeave(t *testing.T) {
 	h := newHarness(t)
 	ids := []ring.ProcID{30, 31, 32, 33}
 	bootstrap(t, h, ids)
-	h.managers[32].RequestLeave()
+	h.managers[32].RequestLeave(h.now)
 	h.pump()
 	want := []ring.ProcID{30, 31, 33}
 	for _, id := range want {
@@ -444,6 +513,16 @@ func TestCodecRoundTrips(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, lr) {
 		t.Fatalf("leave: %+v, %v", got, err)
 	}
+	su := &Suspicion{ID: 79} // an older build's; this one no longer sends it
+	got, err = Decode([]byte{wire.KindVSC, msgSuspicion, 79, 0, 0, 0})
+	if err != nil || !reflect.DeepEqual(got, su) {
+		t.Fatalf("suspicion: %+v, %v", got, err)
+	}
+	es := &EpochSuspicion{Epoch: 8, ID: 80}
+	got, err = Decode(EncodeEpochSuspicion(es))
+	if err != nil || !reflect.DeepEqual(got, es) {
+		t.Fatalf("epoch suspicion: %+v, %v", got, err)
+	}
 	fe := &Fence{Epoch: 6, Members: []ring.ProcID{2, 3, 0}}
 	got, err = Decode(EncodeFence(fe))
 	if err != nil || !reflect.DeepEqual(got, fe) {
@@ -487,7 +566,7 @@ func TestRestartedMemberResync(t *testing.T) {
 	// suspected it.
 	solo := core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{2}, 0)}
 	restarted := h.addInc(2, solo, true, 2)
-	restarted.RequestJoin([]ring.ProcID{1, 3})
+	restarted.RequestJoin([]ring.ProcID{1, 3}, h.now)
 	h.pump()
 
 	// Everyone — including the restarted incarnation — must have installed
@@ -505,7 +584,7 @@ func TestRestartedMemberResync(t *testing.T) {
 	installs := len(h.installs[1])
 
 	// A duplicate JoinReq from the same incarnation must NOT churn views.
-	restarted.RequestJoin([]ring.ProcID{1, 3})
+	restarted.RequestJoin([]ring.ProcID{1, 3}, h.now)
 	h.pump()
 	if got := len(h.installs[1]); got != installs {
 		t.Fatalf("duplicate JoinReq produced %d extra view changes", got-installs)
@@ -514,7 +593,7 @@ func TestRestartedMemberResync(t *testing.T) {
 	// A second restart (higher incarnation still) must resync again.
 	solo2 := core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{2}, 0)}
 	again := h.addInc(2, solo2, true, 3)
-	again.RequestJoin([]ring.ProcID{1, 3})
+	again.RequestJoin([]ring.ProcID{1, 3}, h.now)
 	h.pump()
 	if got := h.lastView(1).ID; got <= epoch {
 		t.Fatalf("second restart left epoch at %d (was %d)", got, epoch)
@@ -629,8 +708,8 @@ func TestJoinersNeverCoordinate(t *testing.T) {
 	h := newHarness(t)
 	a := h.add(20, core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{20}, 0)}, true)
 	b := h.add(21, core.View{ID: 0, Ring: ring.MustNew([]ring.ProcID{21}, 0)}, true)
-	a.RequestJoin([]ring.ProcID{21})
-	b.RequestJoin([]ring.ProcID{20})
+	a.RequestJoin([]ring.ProcID{21}, h.now)
+	b.RequestJoin([]ring.ProcID{20}, h.now)
 	h.pump()
 	if len(h.installs[20]) != 0 || len(h.installs[21]) != 0 {
 		t.Fatalf("joiners installed views among themselves: %v / %v",
@@ -657,7 +736,7 @@ func TestLeaveOverlappingCrashStillCompletes(t *testing.T) {
 	bootstrap(t, h, ids)
 	// Member 1 asks to leave; its request reaches coordinator 0 but member
 	// 2 crashes before the change completes.
-	h.managers[1].RequestLeave()
+	h.managers[1].RequestLeave(h.now)
 	h.crash(2)
 	h.suspectEverywhere(2)
 	h.pump()

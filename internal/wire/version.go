@@ -19,6 +19,13 @@
 //     drops a refused client or admin message. The only appended field
 //     same-major decoders read is the HELLO/REDIRECT version byte, last
 //     below.
+//   - A new message type costs what older builds skip. A relayed
+//     suspicion travels as vsc's EpochSuspicion, stamped with the
+//     reporter's epoch, instead of Suspicion: during a mixed-build upgrade
+//     an older coordinator drops the relays of upgraded members and acts
+//     only on its own detector and on older members' relays, so an
+//     asymmetric fault that only an upgraded member sees waits until the
+//     coordinator is upgraded too.
 //   - A different major is rejected with ErrVersion. Receivers SKIP such
 //     frames (count them, drop them) rather than failing the process: a
 //     too-new peer must not crash an old member, it must merely not be

@@ -161,13 +161,9 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 // queue depths and publish latency histogram, taken on the event loop. A
 // halted node returns the zero Metrics.
 func (n *Node) Metrics() Metrics {
-	req := make(chan Metrics, 1)
-	select {
-	case n.statsc <- req:
-		return <-req
-	case <-n.stop:
-		return Metrics{}
-	}
+	var m Metrics
+	n.do(func(time.Time) { m = n.snapshotMetrics() })
+	return m
 }
 
 // snapshotMetrics assembles a Metrics snapshot. Event-loop context only.

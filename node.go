@@ -35,11 +35,17 @@ const maxParkedFrames = 8192
 // Node is one FSR group member: it owns the protocol engine, the failure
 // detector and the view-change manager, and drives them over a transport.
 //
-// All protocol work happens on one event-loop goroutine; the public methods
-// communicate with it through channels, so a Node is safe for concurrent
-// use. Applying the order is the pump's (pump.go), on a goroutine of its
-// own; fetching a hole in it is the catch-up unit's (catchup.go), on the
-// event loop.
+// The member is a step function with a thin adapter around it. The core,
+// handle and flush, steps on one input at a time — an inbound payload, a
+// tick, a control request or a local publish — at a time it is given: it
+// reads no clock and starts no goroutine, so the same inputs at the same
+// times make the same sends and the same deliveries. The adapter, loop,
+// is one goroutine that reads the channels and the clock, once per
+// wake-up, and feeds the core; the public methods reach it through those
+// channels, so a Node is safe for concurrent use. Applying the order is the
+// pump's (pump.go): its step is non-blocking and runs on a goroutine of its
+// own. Fetching a hole in the order is the catch-up unit's (catchup.go),
+// inside the core.
 type Node struct {
 	cfg Config
 	tr  transport.Transport
@@ -49,15 +55,10 @@ type Node struct {
 	mgr    *vsc.Manager
 	fdet   *fd.Detector
 
-	inbox  chan inboundPayload
-	bcast  chan bcastReq
-	joinc  chan []ProcID
-	leave  chan struct{}
-	rotate chan struct{}
-	statsc chan chan Metrics
-	stop   chan struct{}
-
-	views chan ViewInfo
+	inbox chan inboundPayload
+	bcast chan bcastReq
+	ctl   chan func(now time.Time) // see do
+	stop  chan struct{}
 
 	// Session serving: the publish dedup index and parked client publishes
 	// (see nodesession.go), the committed order as every consumer reads it
@@ -94,14 +95,25 @@ type Node struct {
 	stopOnce sync.Once
 
 	mu       sync.Mutex
-	joined   bool
 	err      error
 	lastView ViewInfo
 }
 
+// inboundPayload is one transport payload. The inbox holds these, not
+// inputs: a set-up allocates every member's 4096-slot inbox, and slots the
+// size of an input measurably slowed it (benchmark setup_s).
 type inboundPayload struct {
 	from    ProcID
 	payload []byte
+}
+
+// input is one thing the core steps on (see handle): a transport payload,
+// a tick, a control request or a local publish.
+type input struct {
+	inboundPayload
+	tick bool
+	ctl  func(now time.Time)
+	pub  bcastReq // a local publish when resp is set
 }
 
 type bcastReq struct {
@@ -117,6 +129,25 @@ type bcastResp struct {
 // NewNode builds and starts a node on the given transport. The transport's
 // Self must match cfg.Self.
 func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
+	n, err := newNode(cfg, tr, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	n.wg.Add(2)
+	go n.loop()
+	go func() {
+		defer n.wg.Done()
+		if err := n.pump.run(); err != nil {
+			n.fail(err)
+		}
+	}()
+	return n, nil
+}
+
+// newNode builds a node whose loop and pump nobody runs yet; now seeds what
+// the member starts with a clock reading for (an ephemeral incarnation, the
+// detector's first grace period).
+func newNode(cfg Config, tr transport.Transport, now time.Time) (*Node, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -130,7 +161,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 
 	nodeLog := cfg.Logger.With("node", uint32(cfg.Self))
-	p, incarnation, startLocal, err := restore(cfg, nodeLog)
+	p, incarnation, startLocal, err := restore(cfg, nodeLog, now)
 	if err != nil {
 		return nil, err
 	}
@@ -157,33 +188,14 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		pump:     p,
 		inbox:    make(chan inboundPayload, 4096),
 		bcast:    make(chan bcastReq),
-		joinc:    make(chan []ProcID, 1),
-		leave:    make(chan struct{}, 1),
-		rotate:   make(chan struct{}, 1),
-		statsc:   make(chan chan Metrics),
+		ctl:      make(chan func(time.Time)),
 		stop:     make(chan struct{}),
-		views:    make(chan ViewInfo, 64),
-		joined:   !cfg.Joiner,
 		lastView: viewInfo(view),
 	}
 
-	n.fdet, err = fd.New(fd.Config{
-		Self:     cfg.Self,
-		Interval: cfg.HeartbeatInterval,
-		Timeout:  cfg.FailureTimeout,
-		Send: func(to ring.ProcID, payload []byte) {
-			_ = n.tr.Send(to, payload) // silence is what the FD detects
-		},
-		Suspect: func(p ring.ProcID) {
-			// Called from within the loop's fdet.Tick.
-			n.mgr.OnSuspect(p, time.Now())
-		},
-	})
-	if err != nil {
-		_ = clog.Close()
-		return nil, err
-	}
-
+	// Control traffic is best effort: silence is what the failure detector
+	// detects, and view change and catch-up retry on their ticks.
+	send := func(to ring.ProcID, payload []byte) { _ = n.tr.Send(to, payload) }
 	n.mgr, err = vsc.NewManager(vsc.Config{
 		Self:          cfg.Self,
 		T:             cfg.T,
@@ -192,10 +204,8 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		Incarnation:   incarnation,
 		Logger:        nodeLog,
 		Callbacks: vsc.Callbacks{
-			Send: func(to ring.ProcID, payload []byte) {
-				_ = n.tr.Send(to, payload)
-			},
-			Snapshot: func() core.RecoveryState { return n.engine.Snapshot() },
+			Send:     send,
+			Snapshot: engine.Snapshot,
 			Install:  n.install,
 			Evicted:  n.onEvicted,
 		},
@@ -204,8 +214,19 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		_ = clog.Close()
 		return nil, err
 	}
+	n.fdet, err = fd.New(fd.Config{
+		Self:     cfg.Self,
+		Interval: cfg.HeartbeatInterval,
+		Timeout:  cfg.FailureTimeout,
+		Send:     send,
+		Suspect:  n.mgr.OnSuspect,
+	})
+	if err != nil {
+		_ = clog.Close()
+		return nil, err
+	}
 	if !cfg.Joiner {
-		n.fdet.SetPeers(cfg.Members, time.Now())
+		n.fdet.SetPeers(cfg.Members, now)
 	}
 
 	n.srv = n.newServe()
@@ -215,9 +236,7 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 		timeout: cfg.ChangeTimeout,
 		wlog:    p.wlog,
 		pump:    p,
-		send: func(to ProcID, payload []byte) {
-			_ = n.tr.Send(to, payload) // silence heals via tick retry
-		},
+		send:    send,
 		applied: n.Applied,
 		settled: func() (uint64, bool) {
 			return n.engine.NextDeliver() - 1, n.engine.PendingDeliveries() == 0
@@ -236,14 +255,6 @@ func NewNode(cfg Config, tr transport.Transport) (*Node, error) {
 	n.log.Info("node start",
 		"joiner", cfg.Joiner, "durable", cfg.DurableDir != "",
 		"incarnation", incarnation, "applied", clog.Applied(), "t", cfg.T)
-	n.wg.Add(2)
-	go n.loop()
-	go func() {
-		defer n.wg.Done()
-		if err := n.pump.run(); err != nil {
-			n.fail(err)
-		}
-	}()
 	return n, nil
 }
 
@@ -255,13 +266,7 @@ func viewInfo(v core.View) ViewInfo {
 // Self returns this node's process ID.
 func (n *Node) Self() ProcID { return n.cfg.Self }
 
-// Views returns installed-view notifications (advisory: entries are dropped
-// if the consumer lags). CurrentView reports the latest view without
-// consuming from this stream.
-func (n *Node) Views() <-chan ViewInfo { return n.views }
-
-// CurrentView returns the most recently installed view. Unlike Views, it
-// does not consume anything and is safe to poll alongside a Views consumer.
+// CurrentView returns the most recently installed view.
 func (n *Node) CurrentView() ViewInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -277,58 +282,38 @@ func (n *Node) Err() error {
 	return n.err
 }
 
+// Join, Leave and RotateLeader report whether the event loop took the
+// request: true once it has run, false once the node has stopped.
+
 // Join asks the group for admission (Joiner nodes only); contacts are the
-// known members. It reports whether the request was accepted by the event
-// loop — false means the node has halted, or an earlier join request is
-// still queued and THIS call was dropped (the queued attempt keeps its own
-// contact list; call Join again if yours differs). Once accepted, Join
-// retries internally until admitted; admission is confirmed by a view on
-// Views (or CurrentView) including this node.
+// known members. Until a view admits this node, the request is repeated
+// every ChangeTimeout to the latest contacts given; admission shows as a
+// CurrentView that includes this node.
 func (n *Node) Join(contacts []ProcID) bool {
-	if n.stopping() {
-		return false
-	}
-	select {
-	case n.joinc <- contacts:
-		return true
-	default:
-		return false
-	}
+	return n.do(func(now time.Time) { n.mgr.RequestJoin(contacts, now) })
 }
 
 // Leave announces a graceful departure; the node stops once the view change
-// excluding it completes (Stop is then unnecessary but harmless). It
-// reports whether the request was accepted — false means the node has
-// already halted, or a leave is already queued (the departure is underway
-// either way).
-func (n *Node) Leave() bool {
-	if n.stopping() {
-		return false
-	}
-	select {
-	case n.leave <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
+// excluding it completes (Stop is then unnecessary but harmless).
+func (n *Node) Leave() bool { return n.do(n.mgr.RequestLeave) }
 
 // RotateLeader asks for a view change that shifts the ring order by one,
 // moving the sequencer role to the next process — the paper's §4.3.1
 // device for evenly distributing latency across senders. Only honored when
 // this node currently coordinates the group (it is the leader); a
-// follower's request is silently ignored by the membership layer. It
-// reports whether the request was accepted by the event loop — false means
-// the node has halted, or a rotation is already queued and this one was
-// coalesced.
-func (n *Node) RotateLeader() bool {
-	if n.stopping() {
-		return false
-	}
+// follower's request is silently ignored by the membership layer.
+func (n *Node) RotateLeader() bool { return n.do(n.mgr.RotateLeader) }
+
+// do runs fn on the event loop, at the loop's clock, and waits for it. It
+// reports false, running nothing, once the node has stopped. Never call it
+// from the loop itself.
+func (n *Node) do(fn func(now time.Time)) bool {
+	done := make(chan struct{})
 	select {
-	case n.rotate <- struct{}{}:
+	case n.ctl <- func(now time.Time) { fn(now); close(done) }:
+		<-done
 		return true
-	default:
+	case <-n.stop:
 		return false
 	}
 }
@@ -364,10 +349,7 @@ func (n *Node) Ready() error {
 		}
 		return ErrStopped
 	}
-	n.mu.Lock()
-	joined := n.joined
-	n.mu.Unlock()
-	if !joined {
+	if n.CurrentView().ID == 0 {
 		return errors.New("fsr: no installed view")
 	}
 	if n.pump.catchingUp() {
@@ -425,8 +407,8 @@ func (n *Node) onEvicted() {
 }
 
 // install applies an agreed view: engine first, then rebroadcasts, then the
-// failure detector, then the advisory notification.
-func (n *Node) install(v core.View, sync *core.Sync, rebroadcast []core.PendingMsg) {
+// failure detector, then the notifications.
+func (n *Node) install(v core.View, sync *core.Sync, rebroadcast []core.PendingMsg, now time.Time) {
 	prevNext := n.engine.NextDeliver()
 	if err := n.engine.InstallView(v, sync); err != nil {
 		n.fail(err)
@@ -438,41 +420,27 @@ func (n *Node) install(v core.View, sync *core.Sync, rebroadcast []core.PendingM
 			return
 		}
 	}
-	n.fdet.SetPeers(v.Ring.Members(), time.Now())
+	n.fdet.SetPeers(v.Ring.Members(), now)
 	info := viewInfo(v)
 	n.mu.Lock()
-	n.joined = true
 	n.lastView = info
 	n.mu.Unlock()
 	n.log.Info("view installed",
 		"epoch", info.ID, "leader", uint32(info.Members[0]), "members", len(info.Members),
 		"t", info.T, "sync_base", sync.StartSeq, "rebroadcasts", len(rebroadcast))
-	// The channel consumer owns what it receives; hand it its own Members
-	// copy so mutating it cannot corrupt CurrentView/Metrics.
-	info.Members = slices.Clone(info.Members)
-	select {
-	case n.views <- info:
-	default:
-	}
 	// Connected session clients learn the new view (best-effort): a client
 	// bound to a departed member fails over sooner than its timeouts.
 	n.srv.NotifyAll(wire.RedirectView)
-	if horizon := n.catchup.refresh(v, sync, prevNext, time.Now()); horizon > 0 {
+	if horizon := n.catchup.refresh(v, sync, prevNext, now); horizon > 0 {
 		n.clog.RaiseHorizon(horizon)
 	}
 }
 
 // frozen reports whether protocol frames must be parked instead of fed to
 // the engine: a view change is in flight, or this node has not been
-// admitted yet. Event-loop context.
+// admitted yet (a joiner's bootstrap view is epoch 0). Event-loop context.
 func (n *Node) frozen() bool {
-	if n.mgr.Changing() {
-		return true
-	}
-	n.mu.Lock()
-	joined := n.joined
-	n.mu.Unlock()
-	return !joined
+	return n.mgr.Changing() || n.mgr.View().ID == 0
 }
 
 // replayParked feeds frames parked during a freeze to the engine once the
@@ -520,44 +488,42 @@ func (n *Node) shutdown() {
 	n.pump.close()
 }
 
-// loop is the single event-loop goroutine owning all protocol state.
+// loop is the adapter: the single event-loop goroutine, owning all
+// protocol state, that feeds the core.
 //
-// Each iteration first drains all queued inbound payloads (so the engine
-// sees the current ring state), then flushes every frame the engine has
-// ready to the successor in one transport batch. Relayed traffic batches
-// into multi-segment frames; own initiation stays paced at one segment per
-// frame (FillFrame closes a frame after an own send), which is what lets
-// the paper's fairness rule keep interleaving relayed traffic with own
-// messages instead of flushing whole own-queues in one burst. The
-// transport's pacing — NIC serialization, socket-buffer backpressure —
-// still throttles the loop between flushes.
+// Each wake-up reads the clock once, hands the core what woke it, then
+// every queued inbound payload (so the engine sees the current ring state),
+// then flushes once: every frame the engine has ready goes to the successor
+// in one transport batch. Relayed traffic batches into multi-segment
+// frames; own initiation stays paced at one segment per frame (FillFrame
+// closes a frame after an own send), which is what lets the paper's
+// fairness rule keep interleaving relayed traffic with own messages
+// instead of flushing whole own-queues in one burst. The transport's
+// pacing — NIC serialization, socket-buffer backpressure — still throttles
+// the loop between flushes.
 func (n *Node) loop() {
 	defer n.wg.Done()
+	defer n.shutdown()
 	tick := time.NewTicker(n.cfg.HeartbeatInterval / 2)
 	defer tick.Stop()
-	var joinContacts []ProcID
-	lastJoin := time.Time{}
+	var next input // what the last wait returned; the zero input is a no-op
 	for {
-		if n.stopping() {
-			n.shutdown()
-			return
-		}
+		now := time.Now()
+		n.handle(now, next)
+		next = input{}
 	drain:
-		for {
+		for !n.stopping() {
 			select {
 			case in := <-n.inbox:
-				n.handlePayload(in)
-				if n.stopping() {
-					n.shutdown()
-					return
-				}
+				n.handle(now, input{inboundPayload: in})
 			default:
 				break drain
 			}
 		}
-		n.replayParked()
-		n.deliver()
-		if n.sendReady() {
+		if n.stopping() {
+			return
+		}
+		if n.flush(now) {
 			continue
 		}
 
@@ -575,49 +541,47 @@ func (n *Node) loop() {
 
 		select {
 		case <-n.stop:
-			n.shutdown()
 			return
-
-		case in := <-n.inbox:
-			n.handlePayload(in)
-
-		case req := <-bc:
-			req.resp <- n.publishLocal(req.payload)
-
-		case contacts := <-n.joinc:
-			joinContacts = contacts
-			n.mgr.RequestJoin(contacts)
-			lastJoin = time.Now()
-
-		case <-n.leave:
-			n.mgr.RequestLeave()
-
-		case <-n.rotate:
-			n.mgr.RotateLeader(time.Now())
-
-		case req := <-n.statsc:
-			req <- n.snapshotMetrics()
-
-		case now := <-tick.C:
-			n.fdet.Tick(now)
-			n.mgr.Tick(now)
-			n.catchup.tick(now)
-			n.mu.Lock()
-			joined := n.joined
-			n.mu.Unlock()
-			if !joined && joinContacts != nil && now.Sub(lastJoin) > n.cfg.ChangeTimeout {
-				n.mgr.RequestJoin(joinContacts)
-				lastJoin = now
-			}
+		case next.inboundPayload = <-n.inbox:
+		case next.pub = <-bc:
+		case next.ctl = <-n.ctl:
+		case <-tick.C:
+			next.tick = true
 		}
 	}
+}
+
+// handle steps the core on one input at now. Event loop, or the caller that
+// owns the node in its place.
+func (n *Node) handle(now time.Time, in input) {
+	switch {
+	case in.tick:
+		n.fdet.Tick(now)
+		n.mgr.Tick(now)
+		n.catchup.tick(now)
+	case in.ctl != nil:
+		in.ctl(now)
+	case in.pub.resp != nil:
+		in.pub.resp <- n.publishLocal(in.pub.payload)
+	default:
+		n.handlePayload(now, in.from, in.payload)
+	}
+}
+
+// flush ends a drain: frames parked through a freeze that has lifted go to
+// the engine, fresh deliveries to the pump, and every ready frame to the
+// successor. It reports whether a frame went out.
+func (n *Node) flush(now time.Time) bool {
+	n.replayParked()
+	n.deliver(now)
+	return n.sendReady(now)
 }
 
 // sendReady flushes every frame the engine has ready — each one batching up
 // to core.DefaultMaxFrameData segments under the per-slot fairness rule — to
 // the ring successor in a single SendBatch (one vectored write on TCP),
 // encoding through pooled buffers. It reports whether any frame went out.
-func (n *Node) sendReady() bool {
+func (n *Node) sendReady(now time.Time) bool {
 	if n.mgr.Changing() {
 		return false
 	}
@@ -646,23 +610,23 @@ func (n *Node) sendReady() bool {
 	}
 	n.sendBufs = n.sendBufs[:0]
 	n.sendPayloads = n.sendPayloads[:0]
-	n.deliver()
+	n.deliver(now)
 	return err == nil // unreachable successor: the FD takes it from here
 }
 
 // handlePayload dispatches one transport payload by channel kind.
-func (n *Node) handlePayload(in inboundPayload) {
-	if len(in.payload) == 0 {
+func (n *Node) handlePayload(now time.Time, from ProcID, payload []byte) {
+	if len(payload) == 0 {
 		return
 	}
-	switch in.payload[0] {
+	switch payload[0] {
 	case wire.KindFSR:
 		// Pooled decode: the Frame struct and its item slices recycle once
 		// the engine has consumed the frame (the engine copies what it
 		// keeps; segment bodies alias in.payload, which the protocol layer
 		// owns from here on, not the pooled frame).
 		f := wire.GetFrame()
-		if err := wire.DecodeFrameInto(f, in.payload); err != nil {
+		if err := wire.DecodeFrameInto(f, payload); err != nil {
 			wire.PutFrame(f)
 			if errors.Is(err, wire.ErrVersion) {
 				// Incompatible-major peer (a botched upgrade, or a too-new
@@ -671,7 +635,7 @@ func (n *Node) handlePayload(in inboundPayload) {
 				// sorts itself out through the failure detector.
 				n.skippedVersion++
 				n.cfg.Logger.Warn("fsr: dropped incompatible-version frame",
-					"from", in.from, "err", err)
+					"from", from, "err", err)
 				return
 			}
 			n.fail(err)
@@ -712,19 +676,19 @@ func (n *Node) handlePayload(in inboundPayload) {
 			return
 		}
 	case wire.KindVSC:
-		n.failUnlessUnknown(n.mgr.HandlePayload(in.from, in.payload, time.Now()))
+		n.failUnlessUnknown(n.mgr.HandlePayload(from, payload, now))
 	case wire.KindFD:
-		from, err := fd.Decode(in.payload)
+		beater, err := fd.Decode(payload)
 		if err != nil {
 			return // malformed heartbeat: ignore
 		}
-		n.fdet.HandleHeartbeat(from, time.Now())
+		n.fdet.HandleHeartbeat(beater, now)
 	case wire.KindCatchup:
-		n.failUnlessUnknown(n.catchup.handle(in.from, in.payload, time.Now()))
+		n.failUnlessUnknown(n.catchup.handle(from, payload, now))
 	case wire.KindClient:
-		n.srv.Handle(in.from, in.payload)
+		n.srv.Handle(from, payload)
 	case wire.KindAdmin:
-		n.admin.Handle(in.from, in.payload)
+		n.admin.Handle(from, payload, now)
 	default:
 		// Unknown channel kind — a future minor's new sub-protocol. The
 		// compat policy (wire version.go) says skip, never fail: the sender
@@ -748,7 +712,7 @@ func (n *Node) failUnlessUnknown(err error) {
 
 // deliver hands fresh engine deliveries to the pump, and a hole the pump
 // found in them to catch-up.
-func (n *Node) deliver() {
+func (n *Node) deliver(now time.Time) {
 	n.delivBuf = n.engine.DrainDeliveries(n.delivBuf[:0])
 	if len(n.delivBuf) == 0 {
 		return
@@ -756,6 +720,6 @@ func (n *Node) deliver() {
 	hole := n.pump.deliver(n.delivBuf)
 	clear(n.delivBuf) // release Body references held in the reused drain buffer
 	if hole > 0 {
-		n.catchup.extend(hole, n.mgr.View(), time.Now())
+		n.catchup.extend(hole, n.mgr.View(), now)
 	}
 }

@@ -30,7 +30,24 @@ func newCluster(t *testing.T, n, tol int) *fsr.Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	return c
+}
+
+// awaitViewWhere polls node's CurrentView until ok holds, for up to 10 s.
+func awaitViewWhere(t *testing.T, node *fsr.Node, ok func(fsr.ViewInfo) bool) fsr.ViewInfo {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v := node.CurrentView()
+		if ok(v) {
+			return v
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d never installed the view wanted; last %d%v", node.Self(), v.ID, v.Members)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // cursors remembers, per node, the offset the last collect stopped at, so
@@ -276,6 +293,7 @@ func TestDynamicJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	ctx := context.Background()
 	if _, err := c.Node(0).Session().Publish(ctx, []byte("old world")); err != nil {
 		t.Fatal(err)
@@ -302,18 +320,7 @@ func TestDynamicJoin(t *testing.T) {
 	}
 	t.Cleanup(joiner.Stop)
 	joiner.Join(c.IDs())
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case v := <-joiner.Views():
-			if len(v.Members) == 4 {
-				goto joined
-			}
-		case <-deadline:
-			t.Fatal("joiner never admitted")
-		}
-	}
-joined:
+	awaitViewWhere(t, joiner, func(v fsr.ViewInfo) bool { return len(v.Members) == 4 })
 	// A joiner holds nothing below its admission point: read from its tail.
 	tailCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()

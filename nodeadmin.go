@@ -41,8 +41,8 @@ func (n *Node) newAdmin() *serve.AdminResponder {
 	}
 }
 
-// adminOp answers the member-only admin ops.
-func (n *Node) adminOp(req *wire.AdminReq) any {
+// adminOp answers the member-only admin ops, on the event loop at now.
+func (n *Node) adminOp(req *wire.AdminReq, now time.Time) any {
 	switch req.Op {
 	case wire.AdminSnapshot:
 		r := admin.SnapshotResult{Triggered: n.TriggerSnapshot()}
@@ -58,7 +58,7 @@ func (n *Node) adminOp(req *wire.AdminReq) any {
 		// coordinator when this node is not it, and evicting ourselves
 		// degrades to a graceful departure.
 		r := admin.EvictResult{Target: req.Target,
-			Requested: n.mgr.RequestEvict(ProcID(req.Target), time.Now())}
+			Requested: n.mgr.RequestEvict(ProcID(req.Target), now)}
 		if !r.Requested {
 			r.Reason = "no installed view, or target not a member of it"
 		}
@@ -66,24 +66,21 @@ func (n *Node) adminOp(req *wire.AdminReq) any {
 	case wire.AdminJoinHint:
 		// Hand an unadmitted joiner a contact list to request admission
 		// through — the operator nudge for a process that restarted with a
-		// stale or empty member list.
+		// stale or empty member list. On the event loop, so the membership
+		// manager is called directly (Join would wait for the loop).
 		contacts := make([]ProcID, 0, len(req.Contacts))
 		for _, c := range req.Contacts {
 			contacts = append(contacts, ProcID(c))
 		}
 		var r admin.JoinHintResult
-		n.mu.Lock()
-		joined := n.joined
-		n.mu.Unlock()
 		switch {
 		case len(contacts) == 0:
 			r.Reason = "no contacts supplied"
-		case joined:
+		case n.mgr.View().ID > 0:
 			r.Reason = "already a member of an installed view"
-		case n.Join(contacts):
-			r.Accepted = true
 		default:
-			r.Reason = "a join request is already queued"
+			n.mgr.RequestJoin(contacts, now)
+			r.Accepted = true
 		}
 		return &r
 	}

@@ -508,10 +508,7 @@ const maxPendingOwn = 1024
 // and the own-queue has room. (Eviction halts the node before the loop
 // looks at the gate again, so it needs no term here.) Event loop.
 func (n *Node) canPublish() bool {
-	n.mu.Lock()
-	joined := n.joined
-	n.mu.Unlock()
-	return joined && !n.mgr.Changing() && !n.catchup.inFlight() &&
+	return n.mgr.View().ID > 0 && !n.mgr.Changing() && !n.catchup.inFlight() &&
 		n.engine.PendingOwn() < maxPendingOwn
 }
 

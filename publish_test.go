@@ -91,6 +91,7 @@ func heldDiskMember(t *testing.T, network *mem.Network) (*heldFS, *fsr.Node) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	node := c.Node(1)
 	warm, err := node.Session().Publish(context.Background(), []byte("warm-up"))
 	if err != nil {
@@ -207,6 +208,7 @@ func TestReceiptReadYourWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Stop)
+			watchCluster(t, c)
 			const total, window = 2000, 32
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()

@@ -23,9 +23,10 @@ const incarnationBits = 40
 // + WAL — the committed log, the state machine and the publish index —
 // before the protocol stack exists, so the engine starts exactly where the
 // previous incarnation stopped; without a durable directory the log starts
-// empty in memory. It also returns the incarnation and the MsgID band it
-// seeds. NewNode attaches the serving engine once it exists.
-func restore(cfg Config, log *slog.Logger) (p *pump, incarnation, startLocal uint64, err error) {
+// empty in memory, and now seeds the incarnation. It also returns the
+// incarnation and the MsgID band it seeds. newNode attaches the serving
+// engine once it exists.
+func restore(cfg Config, log *slog.Logger, now time.Time) (p *pump, incarnation, startLocal uint64, err error) {
 	p = &pump{self: cfg.Self, sm: cfg.StateMachine, sess: newSessSrv(cfg.Self),
 		snapEvery: cfg.SnapshotEvery, asm: newAssembler()}
 	p.cond = sync.NewCond(&p.mu)
@@ -36,12 +37,12 @@ func restore(cfg Config, log *slog.Logger) (p *pump, incarnation, startLocal uin
 		// cannot re-mint IDs its previous life may still have in flight
 		// (~4ms resolution, wrapping after ~19h — far beyond any pending
 		// message's lifetime).
-		now := uint64(time.Now().UnixNano())
+		inc := uint64(now.UnixNano())
 		// No durable log: retain a bounded in-memory tail of the applied
 		// order for subscribers. The horizon rises past anything this
 		// member never delivered (a joiner's missed prefix, holes).
 		p.clog = serve.NewRingLog(memberTailCap, appSnapshot)
-		return p, now, ((now >> 22) & (1<<24 - 1)) << incarnationBits, nil
+		return p, inc, ((inc >> 22) & (1<<24 - 1)) << incarnationBits, nil
 	}
 	wlog, err := wal.Open(cfg.DurableDir, wal.Options{
 		SegmentBytes: cfg.WALSegmentBytes,
@@ -239,38 +240,45 @@ func (p *pump) close() {
 	p.mu.Unlock()
 }
 
-// run is the pump goroutine: one hand-off lock per batch, then the batch
-// through applyBatch. It returns nil after close, or the error that must
-// fail-stop the member.
+// run is the pump goroutine: it waits for work and steps. It returns nil
+// once closed with nothing left to apply, or the error that must fail-stop
+// the member.
 func (p *pump) run() error {
 	for {
 		p.mu.Lock()
 		for len(p.recovered) == 0 && (p.held || len(p.live) == 0) && !p.done && !p.snapPend {
 			p.cond.Wait()
 		}
-		recovered := p.recovered
-		p.recovered = nil
-		var live []Message
-		if !p.held {
-			live = p.live
-			p.live = nil
-		}
 		done := p.done
-		forceSnap := p.snapPend
-		p.snapPend = false
-		p.busy = len(recovered) > 0 || len(live) > 0
-		p.recovering = len(recovered) > 0
 		p.mu.Unlock()
-		if len(recovered) == 0 && len(live) == 0 && !forceSnap {
-			if done {
-				return nil
-			}
-			continue
-		}
-		if err := p.applyBatch(recovered, live, forceSnap); err != nil {
+		if idle, err := p.step(); err != nil || idle && done {
 			return err
 		}
 	}
+}
+
+// step pops one batch — the recovered history, the live stream unless it
+// is held, a pending snapshot request — and applies it through applyBatch,
+// without waiting: with nothing to apply it reports idle. One hand-off lock
+// per batch.
+func (p *pump) step() (idle bool, err error) {
+	p.mu.Lock()
+	recovered := p.recovered
+	p.recovered = nil
+	var live []Message
+	if !p.held {
+		live = p.live
+		p.live = nil
+	}
+	forceSnap := p.snapPend
+	p.snapPend = false
+	p.busy = len(recovered) > 0 || len(live) > 0
+	p.recovering = len(recovered) > 0
+	p.mu.Unlock()
+	if len(recovered) == 0 && len(live) == 0 && !forceSnap {
+		return true, nil
+	}
+	return false, p.applyBatch(recovered, live, forceSnap)
 }
 
 // applyBatch runs one pump batch through the durability pipeline: open

@@ -47,6 +47,7 @@ func TestReadyJoinerTransition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	ids := cluster.IDs()
 	for i := range 3 {
 		awaitReady(t, cluster.Node(i).Ready, 10*time.Second)
@@ -101,6 +102,7 @@ func TestCatchingUpIsOneState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	ids := cluster.IDs()
 	writeBatch(t, cluster.Nodes(), 0, 100) // history the joiner fetches in one page
 
@@ -176,6 +178,7 @@ func TestReadyWALDirGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	node := cluster.Node(1)
 	awaitReady(t, node.Ready, 10*time.Second)
 

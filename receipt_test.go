@@ -63,6 +63,7 @@ func TestReceiptAcrossLeaderCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 
 	ctx := context.Background()
 	const inflight = 15
@@ -112,6 +113,7 @@ func TestReceiptFailsOnStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	// Sever node 2's outbound links: its broadcast can never leave.
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
@@ -142,6 +144,7 @@ func TestReceiptOriginCrashesPreSequencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	// Stranded: nothing node 2 sends can leave it.
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
@@ -173,6 +176,7 @@ func TestReceiptOriginLeavesMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	ctx := context.Background()
 	const inflight = 10
 	receipts := make([]*fsr.Receipt, inflight)
@@ -223,6 +227,7 @@ func TestReceiptWaitAfterClusterStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchCluster(t, c)
 	// Strand node 2's broadcast so it cannot resolve by delivery first.
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
@@ -252,6 +257,7 @@ func TestReceiptWaitHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	network.CutLink(c.IDs()[2], c.IDs()[0])
 	network.CutLink(c.IDs()[2], c.IDs()[1])
 	r, err := c.Node(2).Session().Publish(context.Background(), []byte("stuck"))

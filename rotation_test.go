@@ -25,18 +25,9 @@ func TestRotateLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Node(0).RotateLeader()
-	deadline := time.After(10 * time.Second)
-	var v fsr.ViewInfo
-	for {
-		select {
-		case v = <-c.Node(2).Views():
-		case <-deadline:
-			t.Fatal("rotation view never installed")
-		}
-		if len(v.Members) == 4 && v.Members[0] == c.IDs()[1] {
-			break
-		}
-	}
+	v := awaitViewWhere(t, c.Node(2), func(v fsr.ViewInfo) bool {
+		return len(v.Members) == 4 && v.Members[0] == c.IDs()[1]
+	})
 	if v.Members[3] != c.IDs()[0] {
 		t.Fatalf("old leader not at the tail: %v", v.Members)
 	}
@@ -56,10 +47,10 @@ func TestRotateLeader(t *testing.T) {
 func TestRotateLeaderFromFollowerIgnored(t *testing.T) {
 	c := newCluster(t, 3, 1)
 	c.Node(2).RotateLeader()
-	select {
-	case v := <-c.Node(0).Views():
-		t.Fatalf("follower rotation installed view %d", v.ID)
-	case <-time.After(500 * time.Millisecond):
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if v := c.Node(0).CurrentView(); v.ID != 1 {
+			t.Fatalf("follower rotation installed view %d", v.ID)
+		}
 	}
 }
 
@@ -78,19 +69,9 @@ func TestRepeatedRotationRoundRobin(t *testing.T) {
 		}
 		c.Node(leaderIdx).RotateLeader()
 		wantLeader := ids[round%n]
-		deadline := time.After(10 * time.Second)
-		for {
-			var v fsr.ViewInfo
-			select {
-			case v = <-c.Node((leaderIdx + 1) % n).Views():
-			case <-deadline:
-				t.Fatalf("rotation %d never installed", round)
-			}
-			if len(v.Members) == n && v.Members[0] == wantLeader {
-				goto next
-			}
-		}
-	next:
+		awaitViewWhere(t, c.Node((leaderIdx+1)%n), func(v fsr.ViewInfo) bool {
+			return len(v.Members) == n && v.Members[0] == wantLeader
+		})
 	}
 	// All traffic delivered identically despite three leadership handoffs.
 	ref := collect(t, c.Node(0), n)
@@ -208,6 +189,7 @@ func TestBandwidthPacedNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	watchCluster(t, c)
 	ctx := context.Background()
 	const per = 15
 	for i := range per {

@@ -61,11 +61,9 @@ type Config struct {
 	ListenAddr string
 	// Peers maps every other process to its listen address.
 	Peers map[transport.ProcID]string
-	// DialTimeout bounds one connection attempt. Defaults to 3s.
-	DialTimeout time.Duration
 	// DialBackoff paces reconnection to an unreachable peer: after a
 	// failed dial the peer enters backoff (doubling per consecutive
-	// failure, capped at DialMaxBackoff) and Sends during the window fail
+	// failure, capped at dialMaxBackoff) and Sends during the window fail
 	// fast without touching the network. Callers that keep sending — the
 	// protocol stack emits heartbeats every interval — therefore drive
 	// the retry at a bounded rate, so a cluster forms when peers come up
@@ -73,9 +71,14 @@ type Config struct {
 	// sleeps (a blocking retry here would stall the caller's event loop
 	// and starve the failure detector). Defaults to 25ms.
 	DialBackoff time.Duration
-	// DialMaxBackoff caps the backoff growth. Defaults to 1s.
-	DialMaxBackoff time.Duration
 }
+
+// dialTimeout bounds one connection attempt; dialMaxBackoff caps the
+// backoff growth.
+const (
+	dialTimeout    = 3 * time.Second
+	dialMaxBackoff = time.Second
+)
 
 // Transport is a TCP-backed transport endpoint.
 type Transport struct {
@@ -180,14 +183,8 @@ func (pc *peerConn) flush() (completedFrames int, err error) {
 
 // New starts listening and returns the endpoint.
 func New(cfg Config) (*Transport, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = 25 * time.Millisecond
-	}
-	if cfg.DialMaxBackoff <= 0 {
-		cfg.DialMaxBackoff = time.Second
 	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
@@ -347,7 +344,7 @@ func (t *Transport) connTo(to transport.ProcID) (*peerConn, error) {
 		return nil, fmt.Errorf("tcp: peer %d in dial backoff: %w", to, err)
 	}
 	t.mu.Unlock()
-	c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		err = fmt.Errorf("tcp: dial %d@%s: %w", to, addr, err)
 		t.mu.Lock()
@@ -356,7 +353,7 @@ func (t *Transport) connTo(to transport.ProcID) (*peerConn, error) {
 			rs = &redialState{backoff: t.cfg.DialBackoff}
 			t.redial[to] = rs
 		} else {
-			rs.backoff = min(rs.backoff*2, t.cfg.DialMaxBackoff)
+			rs.backoff = min(rs.backoff*2, dialMaxBackoff)
 		}
 		rs.until = time.Now().Add(rs.backoff)
 		rs.lastErr = err

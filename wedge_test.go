@@ -29,6 +29,7 @@ func TestNeverReadingClientCannotWedgeMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
+	watchCluster(t, cluster)
 	addrs := ct.Addrs()
 
 	// The misbehaving client: raw connection, HELLO + SUBSCRIBE, then
